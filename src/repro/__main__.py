@@ -19,10 +19,10 @@ Usage::
     python -m repro verify --count 50  # differential fuzz campaign
     python -m repro lint --all         # static netlist lint
                                        # (see docs/VERIFY.md)
-    python -m repro campaign --program mult --backend numpy
-                                       # stuck-at fault campaign on the
-                                       # vectorized bit-slice backend
-    python -m repro campaign --verify-suite --backend numpy
+    python -m repro campaign --program mult
+                                       # lane-packed stuck-at fault
+                                       # campaign (engine by lane count)
+    python -m repro campaign --verify-suite
                                        # lane-pack every native
                                        # benchmark; diff vs the ISS
     python -m repro profile-design p1_8_2 --program crc8 --vcd out.vcd

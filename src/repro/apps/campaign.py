@@ -1,19 +1,17 @@
 """``python -m repro campaign``: fault campaigns from the command line.
 
-Runs a stuck-at fault-injection campaign for one benchmark on one
-core configuration, on any of the four simulation backends::
+Runs a lane-packed stuck-at fault-injection campaign for one
+benchmark on one core configuration::
 
-    python -m repro campaign --program mult --width 8 --backend numpy
-    python -m repro campaign --backend batched --stride 4 --jobs 2
-    python -m repro campaign --config p1_8_2 --backend compiled --max-faults 20
+    python -m repro campaign --program mult --width 8
+    python -m repro campaign --stride 4 --jobs 2
+    python -m repro campaign --config p1_8_2 --max-faults 20
 
 and ``python -m repro campaign --verify-suite`` lane-packs every
-native-width benchmark through the selected lane backend and diffs
-each lane against the instruction-set simulator (the
-:func:`repro.eval.suite.verify_suite` hook).
-
-See ``docs/MODELS.md`` ("Simulation backends") for how to pick a
-backend and ``docs/TESTING.md`` for campaign semantics.
+native-width benchmark and diffs each lane against the
+instruction-set simulator (the :func:`repro.eval.suite.verify_suite`
+hook).  The lane engine (bigint or numpy bit-slice) is picked from the
+lane count; see ``docs/MODELS.md`` ("How the lane engine is picked").
 """
 
 from __future__ import annotations
@@ -21,20 +19,20 @@ from __future__ import annotations
 import sys
 import time
 
-#: Backends accepted by --backend (campaign mode).
-CAMPAIGN_BACKENDS = ("numpy", "batched", "compiled", "interpreted")
-
-#: Lane backends accepted by --backend in --verify-suite mode.
-LANE_ONLY = ("numpy", "batched")
-
 
 def _usage() -> str:
     return (
         "usage: python -m repro campaign [--program NAME] [--width N]\n"
-        "           [--config NAME] [--backend numpy|batched|compiled|interpreted]\n"
-        "           [--stride N] [--max-faults N] [--lanes N] [--jobs N]\n"
-        "       python -m repro campaign --verify-suite [--backend numpy|batched]"
+        "           [--config NAME] [--stride N>=1] [--max-faults N>=0]\n"
+        "           [--jobs N>=1]\n"
+        "       python -m repro campaign --verify-suite"
     )
+
+
+def _reject(message: str) -> int:
+    print(message, file=sys.stderr)
+    print(_usage(), file=sys.stderr)
+    return 2
 
 
 def campaign_main(argv: list[str]) -> int:
@@ -42,10 +40,8 @@ def campaign_main(argv: list[str]) -> int:
     program_name = "mult"
     width = 8
     config_name: str | None = None
-    backend = "numpy"
     stride = 8
     max_faults: int | None = None
-    lanes: int | None = None
     jobs: int | None = None
     verify_suite_mode = False
 
@@ -68,17 +64,11 @@ def campaign_main(argv: list[str]) -> int:
             elif arg == "--config":
                 config_name = value()
                 i += 1
-            elif arg == "--backend":
-                backend = value()
-                i += 1
             elif arg == "--stride":
                 stride = value(int)
                 i += 1
             elif arg == "--max-faults":
                 max_faults = value(int)
-                i += 1
-            elif arg == "--lanes":
-                lanes = value(int)
                 i += 1
             elif arg == "--jobs":
                 jobs = value(int)
@@ -89,28 +79,18 @@ def campaign_main(argv: list[str]) -> int:
                 print(_usage())
                 return 0
             else:
-                print(f"unknown option {arg}", file=sys.stderr)
-                print(_usage(), file=sys.stderr)
-                return 2
+                return _reject(f"unknown option {arg}")
         except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+            return _reject(str(exc))
         i += 1
 
     if verify_suite_mode:
         from repro.eval.suite import verify_suite
         from repro.errors import SimulationError
 
-        if backend not in LANE_ONLY:
-            print(
-                f"--verify-suite needs a lane backend ({'|'.join(LANE_ONLY)}), "
-                f"got {backend!r}",
-                file=sys.stderr,
-            )
-            return 2
         started = time.perf_counter()
         try:
-            verified = verify_suite(backend)
+            verified = verify_suite()
         except SimulationError as exc:
             print(f"FAIL: {exc}", file=sys.stderr)
             return 1
@@ -119,35 +99,31 @@ def campaign_main(argv: list[str]) -> int:
         for name, count in verified.items():
             print(f"  {name}: {count} benchmarks agree with the ISS")
         print(
-            f"verify-suite[{backend}]: {total} native benchmarks verified "
+            f"verify-suite: {total} native benchmarks verified "
             f"in {elapsed:.2f}s"
         )
         return 0
 
-    if backend not in CAMPAIGN_BACKENDS:
-        print(
-            f"unknown backend {backend!r} "
-            f"(choose from {'|'.join(CAMPAIGN_BACKENDS)})",
-            file=sys.stderr,
-        )
-        return 2
     from repro.coregen.config import CoreConfig, config_from_name
     from repro.coregen.fault_test import run_fault_campaign
+    from repro.errors import ConfigError, ProgramError
     from repro.programs import build_benchmark
 
-    config = config_from_name(config_name) if config_name else None
-    core_width = config.datawidth if config else width
-    program = build_benchmark(program_name, width, core_width)
     started = time.perf_counter()
-    result = run_fault_campaign(
-        program,
-        config=config,
-        stride=stride,
-        max_faults=max_faults,
-        backend=backend,
-        lanes=lanes,
-        jobs=jobs,
-    )
+    try:
+        config = config_from_name(config_name) if config_name else None
+        core_width = config.datawidth if config else width
+        program = build_benchmark(program_name, width, core_width)
+        result = run_fault_campaign(
+            program,
+            config=config,
+            stride=stride,
+            max_faults=max_faults,
+            jobs=jobs,
+        )
+    except (ConfigError, ProgramError) as exc:
+        print(f"campaign: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
     design = config.name if config else CoreConfig(
         datawidth=program.datawidth,
@@ -156,7 +132,7 @@ def campaign_main(argv: list[str]) -> int:
     ).name
     rate = result.total / elapsed if elapsed > 0 else float("inf")
     print(
-        f"campaign[{program.name} @ {design}, {backend}]: "
+        f"campaign[{program.name} @ {design}]: "
         f"{result.detected}/{result.total} faults detected "
         f"({100.0 * result.coverage:.1f}% coverage) "
         f"in {elapsed:.2f}s ({rate:.0f} faults/s)"
@@ -168,7 +144,7 @@ def campaign_main(argv: list[str]) -> int:
     history.append_record(
         history.build_record(
             "campaign",
-            ["campaign", program.name, design, backend],
+            ["campaign", program.name, design],
             {
                 "campaign.seconds": round(elapsed, 3),
                 "campaign.faults_per_s": round(rate, 1)

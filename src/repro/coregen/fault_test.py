@@ -7,17 +7,16 @@ output" is as a post-print test (the only economical test for sub-cent
 printed systems).
 
 Campaigns are embarrassingly parallel across fault sites, and the
-lane backends exploit that with cross-run lane packing
+default ``"batched"`` backend exploits that with cross-run lane packing
 (:class:`repro.netlist.lanes.LanePlan`): each lane carries one faulty
 machine with its own data memory image, so one gate evaluation pass
-advances many fault simulations.  Two lane backends exist --
-``"batched"`` (bigint :class:`repro.netlist.compile.BitParallelSimulator`,
-:data:`DEFAULT_LANES` faults per pass) and ``"numpy"`` (vectorized
-uint64 bit-slice :class:`repro.netlist.nsim.NumpySimulator`,
-:data:`DEFAULT_NUMPY_LANES` faults per pass with fully vectorized
-fetch/memory plumbing).  The ``"compiled"`` and ``"interpreted"``
-backends run one fault at a time and exist for cross-checking; all
-four produce identical campaigns.
+advances many fault simulations.  The faults are split evenly over the
+workers, at most :data:`MAX_LANES` per batch, and
+:func:`repro.netlist.lanes.lane_simulator` picks each batch's engine
+(bigint or numpy bit-slice) from its width.  The ``"compiled"`` and
+``"interpreted"`` backends run one fault at a time and exist as the
+oracles the lane engines are checked against; all three produce
+identical campaigns.
 
 On top of lane-level batching, ``jobs=`` fans batches (or, for the
 scalar backends, individual faults) out across worker processes via
@@ -40,28 +39,32 @@ from repro.coregen.config import CoreConfig
 from repro.coregen.cosim import CoSimHarness, architectural_nets
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_for_core, encode_program_for_core
-from repro.exec import map_in_chunks, parallel_map
+from repro.errors import ConfigError
+from repro.exec import map_in_chunks, parallel_map, resolve_jobs
 from repro.isa.program import Program
 from repro.isa.spec import Instruction, Mnemonic
-from repro.netlist.compile import BitParallelSimulator
 from repro.netlist.faults import (
     FaultCampaign,
     FaultySimulator,
     StuckAtFault,
     enumerate_fault_sites,
 )
-from repro.netlist.lanes import LaneMemoryHarness, LanePlan
-from repro.netlist.nsim import NumpySimulator
+from repro.netlist.lanes import (
+    LaneMemoryHarness,
+    LanePlan,
+    lane_engine,
+    lane_simulator,
+)
 from repro.sim.machine import Machine
 
-#: Fault sites evaluated per bit-parallel pass in batched campaigns.
-DEFAULT_LANES = 48
+#: Campaign backends: lane-packed (engine picked by batch width) and
+#: the two one-fault-at-a-time oracles.
+BACKENDS = ("batched", "compiled", "interpreted")
 
-#: Fault sites evaluated per kernel pass in numpy campaigns.  Far
-#: larger than the bigint width because a vectorized pass costs almost
-#: the same for 64 lanes as for 8192 -- the per-gate ufunc dispatch
-#: dominates, not the word count.
-DEFAULT_NUMPY_LANES = 8192
+#: Widest lane batch a campaign packs.  A numpy pass costs almost the
+#: same for 64 lanes as for 8192 -- the per-gate ufunc dispatch
+#: dominates, not the word count -- so wide campaigns run few passes.
+MAX_LANES = 8192
 
 _FAULTS_INJECTED = obs.counter("faults.injected")
 _FAULTS_DETECTED = obs.counter("faults.detected")
@@ -108,7 +111,7 @@ def _run(
 class _CampaignContext:
     """Per-campaign invariants, computed once and shared by every batch.
 
-    Hoists what :func:`_run_batched` used to rebuild per 48-fault
+    Hoists what :func:`_run_batched` would otherwise rebuild per
     batch: the elaborated netlist, the encoded ROM, the initial
     data-memory image, the flag/BAR net index from
     :func:`architectural_nets`, and the halt-word padding memo (shared
@@ -159,7 +162,7 @@ def halt_word_encoder(config: CoreConfig):
     """``pc -> instruction word`` for fetches past the program end.
 
     Encodes the same self-branch the scalar harness pads with; shared
-    by both lane backends and the differential verifier via
+    by the fault campaign and the differential verifier via
     :class:`~repro.netlist.lanes.LaneMemoryHarness`.
     """
 
@@ -208,50 +211,17 @@ def _run_batched(
 
     Mirrors :meth:`CoSimHarness.step` exactly -- three settles with
     behavioural ROM/RAM provided between them, then writeback -- but
-    every lane carries its own fault and its own data-memory image.
-    The memory loop itself lives in the shared
-    :class:`~repro.netlist.lanes.LaneMemoryHarness`.
+    every lane carries its own fault (or per-lane fault tuple) and its
+    own data-memory image.  The engine comes from
+    :func:`~repro.netlist.lanes.lane_simulator` and the memory loop
+    from the shared :class:`~repro.netlist.lanes.LaneMemoryHarness`.
     """
     if context is None:
         context = _prepare_campaign(program, config)
-    lanes = len(faults)
-    sim = BitParallelSimulator(context.netlist, lanes, faults=faults)
+    plan = LanePlan.for_faults(faults)
     harness = LaneMemoryHarness(
-        sim,
-        lanes=lanes,
-        rom=context.rom,
-        base_memory=context.base_memory,
-        halt_word=halt_word_encoder(config),
-        halt_words=context.halt_words,
-    )
-    harness.run(cycles)
-    return _lane_signatures(harness, config, context)
-
-
-def _run_batched_numpy(
-    program: Program,
-    config: CoreConfig,
-    cycles: int,
-    faults: list[StuckAtFault],
-    context: _CampaignContext | None = None,
-) -> list[tuple]:
-    """Architectural signatures of ``len(faults)`` faulty runs at once,
-    on the numpy bit-slice backend.
-
-    Same cycle structure as :func:`_run_batched` (mirroring
-    :meth:`CoSimHarness.step`), but on the shared harness's array
-    path: instruction fetch is a table gather, data memory is one
-    ``(lanes, words)`` array read with fancy indexing and written back
-    under the ``we`` mask, so the run stays O(kernel calls) rather
-    than O(lanes) per cycle.
-    """
-    if context is None:
-        context = _prepare_campaign(program, config)
-    lanes = len(faults)
-    sim = NumpySimulator(context.netlist, plan=LanePlan.for_faults(faults))
-    harness = LaneMemoryHarness(
-        sim,
-        lanes=lanes,
+        lane_simulator(context.netlist, plan),
+        lanes=plan.lanes,
         rom=context.rom,
         base_memory=context.base_memory,
         halt_word=halt_word_encoder(config),
@@ -279,7 +249,7 @@ def lane_signatures(
     fault_sets: Sequence,
     context: _CampaignContext | None = None,
 ) -> list[tuple]:
-    """Architectural signatures of lane-packed faulty units (numpy).
+    """Architectural signatures of lane-packed faulty units.
 
     One entry per element of ``fault_sets``; each entry may be a
     single :class:`StuckAtFault`, a tuple of them (a multi-defect
@@ -291,7 +261,7 @@ def lane_signatures(
     (see :func:`prepare_context`) to amortize elaboration across
     batches.
     """
-    return _run_batched_numpy(program, config, cycles, list(fault_sets), context)
+    return _run_batched(program, config, cycles, list(fault_sets), context)
 
 
 def prepare_context(program: Program, config: CoreConfig) -> _CampaignContext:
@@ -323,19 +293,16 @@ def _judge_batch(
     cycles: int,
     scalar_backend: str,
     faults: list[StuckAtFault],
-    runner=_run_batched,
 ) -> list[tuple]:
     """Lane-parallel verdicts for one batch (``parallel_map`` target).
 
-    ``runner`` is the lane backend (:func:`_run_batched` for bigint,
-    :func:`_run_batched_numpy` for bit-slice).  Falls back to
-    one-at-a-time scalar simulation when the batched run itself raises,
-    so a wedging fault is attributed to the lane that caused it --
-    exactly the serial campaign's recovery path.
+    Falls back to one-at-a-time scalar simulation when the batched run
+    itself raises, so a wedging fault is attributed to the lane that
+    caused it -- exactly the serial campaign's recovery path.
     """
     context = _campaign_context(program, config)
     try:
-        outcomes = runner(program, config, cycles, faults, context)
+        outcomes = _run_batched(program, config, cycles, faults, context)
     except Exception:
         return [
             _judge_one(program, config, cycles, scalar_backend, fault)
@@ -344,13 +311,19 @@ def _judge_batch(
     return [("ok", outcome) for outcome in outcomes]
 
 
+def _batch_lanes(faults: int, jobs: int | None) -> int:
+    """Lanes per batch: the faults split evenly over the workers,
+    capped at :data:`MAX_LANES`."""
+    workers = resolve_jobs(jobs)
+    return max(1, min(MAX_LANES, -(-faults // workers)))
+
+
 def run_fault_campaign(
     program: Program,
     config: CoreConfig | None = None,
     stride: int = 8,
     max_faults: int | None = None,
     backend: str = "batched",
-    lanes: int | None = None,
     jobs: int | None = None,
 ) -> FaultCampaign:
     """Inject sampled stuck-at faults and count detections.
@@ -360,14 +333,11 @@ def run_fault_campaign(
         config: Core configuration (single-stage default).
         stride: Sample every ``stride``-th instance (full enumeration
             is quadratic in runtime; sampling estimates coverage).
-        max_faults: Optional cap on injected faults.
-        backend: ``"batched"`` (default; bigint bit-parallel),
-            ``"numpy"`` (vectorized bit-slice, fastest for large
-            campaigns), ``"compiled"`` (one fault at a time), or
-            ``"interpreted"``.
-        lanes: Faults per lane-parallel pass; defaults to
-            :data:`DEFAULT_LANES` (batched) or
-            :data:`DEFAULT_NUMPY_LANES` (numpy).
+        max_faults: Optional cap on injected faults (``>= 0``).
+        backend: ``"batched"`` (default; lane-packed, engine picked by
+            batch width), or one fault at a time on ``"compiled"`` or
+            ``"interpreted"`` -- the oracles the lane engines are
+            checked against.
         jobs: Worker processes for the fault fan-out (``None`` defers
             to ``--jobs`` / ``REPRO_JOBS`` / serial).  Results are
             bit-exact against ``jobs=1``.
@@ -375,7 +345,20 @@ def run_fault_campaign(
     A fault is *detected* when the faulty run's architectural
     signature differs from the golden run's after the same cycle
     count.
+
+    Raises:
+        ConfigError: On an unknown backend, ``stride < 1`` or
+            ``max_faults < 0``.
     """
+    if backend not in BACKENDS:
+        raise ConfigError(
+            f"unknown campaign backend {backend!r} "
+            f"(choose from {', '.join(BACKENDS)})"
+        )
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+    if max_faults is not None and max_faults < 0:
+        raise ConfigError(f"max_faults must be >= 0, got {max_faults}")
     if config is None:
         config = CoreConfig(
             datawidth=program.datawidth,
@@ -401,21 +384,11 @@ def run_fault_campaign(
 
         label = f"fault_campaign[{program.name}]"
         warm = partial(_campaign_context, program, config)
-        if backend in ("batched", "numpy"):
-            runner = _run_batched if backend == "batched" else _run_batched_numpy
-            if lanes is None:
-                lanes = (
-                    DEFAULT_LANES if backend == "batched" else DEFAULT_NUMPY_LANES
-                )
+        if backend == "batched":
+            lanes = _batch_lanes(len(sites), jobs)
+            sp.note(engine=lane_engine(lanes), lanes=lanes)
             verdicts = map_in_chunks(
-                partial(
-                    _judge_batch,
-                    program,
-                    config,
-                    cycles,
-                    scalar_backend,
-                    runner=runner,
-                ),
+                partial(_judge_batch, program, config, cycles, scalar_backend),
                 sites,
                 chunk_size=lanes,
                 jobs=jobs,

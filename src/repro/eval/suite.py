@@ -12,9 +12,8 @@ and are bit-exact against the serial run.
 native-width benchmark against the instruction-set simulator before
 (or independently of) an evaluation run, packing all programs that
 share a core configuration into the lanes of *one* lane-parallel
-simulation (:func:`repro.verify.differential.lane_verify`) -- the
-numpy bit-slice backend makes this a few kernel streams for the whole
-suite.
+simulation (:func:`repro.verify.differential.lane_verify`), so the
+whole suite costs one gate-level pass per core width.
 """
 
 from __future__ import annotations
@@ -27,16 +26,12 @@ from repro.errors import SimulationError
 from repro.eval.figures import fig8_benchmark
 from repro.eval.system import SystemMetrics
 from repro.exec import parallel_map
-from repro.netlist.compile import BitParallelSimulator
-from repro.netlist.nsim import NumpySimulator
+from repro.netlist.lanes import lane_engine
 from repro.pdk import canonical_technology
 from repro.programs.suite import BENCHMARKS, build_benchmark
 
 #: Technologies evaluated by default (both printed processes).
 DEFAULT_TECHNOLOGIES = ("EGFET", "CNT")
-
-#: Lane-parallel simulators selectable for suite verification.
-LANE_BACKENDS = {"batched": BitParallelSimulator, "numpy": NumpySimulator}
 
 
 @dataclass(frozen=True)
@@ -100,13 +95,12 @@ def verify_groups() -> list[tuple[CoreConfig, list[str], list]]:
     ]
 
 
-def verify_suite(backend: str = "numpy") -> dict[str, int]:
+def verify_suite() -> dict[str, int]:
     """Gate-level-verify every native benchmark against the ISS.
 
     All programs sharing a core configuration are packed into the
     lanes of *one* lane-parallel simulation, so the whole suite costs
-    one gate-level pass per core width.  ``backend`` selects the lane
-    simulator (``"numpy"`` or ``"batched"``).
+    one gate-level pass per core width.
 
     Returns:
         ``{config_name: programs_verified}`` for each core swept.
@@ -117,17 +111,13 @@ def verify_suite(backend: str = "numpy") -> dict[str, int]:
     """
     from repro.verify.differential import lane_verify
 
-    simulator = LANE_BACKENDS.get(backend)
-    if simulator is None:
-        choices = ", ".join(sorted(LANE_BACKENDS))
-        raise SimulationError(
-            f"unknown lane backend {backend!r} (choose from {choices})"
-        )
+    groups = verify_groups()
+    widest = max(len(programs) for _, _, programs in groups)
     verified: dict[str, int] = {}
     failures: list[str] = []
-    with obs.span("verify_suite", backend=backend):
-        for config, names, programs in verify_groups():
-            reports = lane_verify(programs, config, simulator=simulator)
+    with obs.span("verify_suite", engine=lane_engine(widest), lanes=widest):
+        for config, names, programs in groups:
+            reports = lane_verify(programs, config)
             for name, details in zip(names, reports):
                 if details:
                     shown = "; ".join(details[:4])
@@ -135,8 +125,7 @@ def verify_suite(backend: str = "numpy") -> dict[str, int]:
             verified[config.name] = len(programs)
     if failures:
         raise SimulationError(
-            f"suite verification failed on {backend} backend: "
-            + " | ".join(failures)
+            "suite verification failed: " + " | ".join(failures)
         )
     return verified
 
@@ -144,7 +133,7 @@ def verify_suite(backend: str = "numpy") -> dict[str, int]:
 def evaluate_suite(
     technologies: tuple[str, ...] = DEFAULT_TECHNOLOGIES,
     jobs: int | None = None,
-    verify_backend: str | None = None,
+    verify: bool = False,
 ) -> list[SuiteResult]:
     """Evaluate the full Figure 8 / Table 8 grid.
 
@@ -153,13 +142,12 @@ def evaluate_suite(
         jobs: Worker processes (``None`` defers to ``--jobs`` /
             ``REPRO_JOBS`` / serial).  Output order and values are
             identical for any job count.
-        verify_backend: When set (``"numpy"`` or ``"batched"``),
-            gate-level-verify every native benchmark via
+        verify: Gate-level-verify every native benchmark via
             :func:`verify_suite` before evaluating; a divergence
             aborts the run.
     """
-    if verify_backend is not None:
-        verify_suite(verify_backend)
+    if verify:
+        verify_suite()
     cells = suite_grid(technologies)
     with obs.span("evaluate_suite", cells=len(cells)):
         return parallel_map(_suite_cell, cells, jobs=jobs, label="evaluate_suite")

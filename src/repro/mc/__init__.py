@@ -16,7 +16,7 @@ fleet:
   ``max``/``add`` pass per logic level for every instance at once;
 * :mod:`repro.mc.fyield` -- sampled device defects mapped to stuck-at
   faults and lane-packed through the real netlist
-  (:class:`~repro.netlist.lanes.LanePlan` + ``NumpySimulator``), so
+  (:class:`~repro.netlist.lanes.LanePlan` + ``lane_simulator``), so
   functional yield is measured on the application, not assumed from
   the analytic ``y^n`` formula;
 * :mod:`repro.mc.sketch` -- mergeable log-bucket quantile sketches;

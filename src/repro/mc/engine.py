@@ -48,7 +48,7 @@ from repro.mc.fyield import WEDGED, sample_defects, safe_signatures
 from repro.mc.sketch import QuantileSketch
 from repro.mc.timing import DEFAULT_BLOCK, nominal_delay, sample_delays
 
-#: Defective units lane-packed per numpy simulation pass.
+#: Defective units lane-packed per simulation pass.
 DEFAULT_LANES = 1024
 
 #: Fleet quantiles reported for fmax and lifetime.

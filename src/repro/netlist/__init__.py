@@ -14,7 +14,9 @@ code generated by :mod:`repro.netlist.compile` (which also provides
 bigint bit-parallel simulation -- N stimulus sets or faults per pass),
 and vectorized numpy bit-slice kernels (:mod:`repro.netlist.nsim`)
 that advance thousands of lanes per kernel call.  Lane batches are
-described backend-agnostically by :class:`repro.netlist.lanes.LanePlan`.
+described engine-agnostically by :class:`repro.netlist.lanes.LanePlan`,
+and :func:`repro.netlist.lanes.lane_simulator` picks the lane engine
+from the lane count.
 
 Timing and power share one net-load model (:mod:`repro.netlist.load`):
 fanout-proportional capacitance in the wire-blind default, extended by
@@ -48,7 +50,7 @@ from repro.netlist.compile import (
     compiled_netlist,
     make_capture,
 )
-from repro.netlist.lanes import LanePlan
+from repro.netlist.lanes import LanePlan, lane_simulator
 from repro.netlist.nsim import NumpyCompiled, NumpySimulator, numpy_netlist
 from repro.netlist.probe import (
     InstructionEnergyProfiler,
@@ -67,6 +69,7 @@ __all__ = [
     "compiled_netlist",
     "make_capture",
     "LanePlan",
+    "lane_simulator",
     "NumpyCompiled",
     "NumpySimulator",
     "numpy_netlist",

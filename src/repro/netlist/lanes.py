@@ -11,12 +11,13 @@ map, the campaign/verify harnesses consume its per-lane memory images,
 and stimulus stays with the harness (it is a per-cycle stream, driven
 through ``set_input`` with one value per lane).
 
-Keeping the plan backend-agnostic is what lets
-:func:`repro.coregen.fault_test.run_fault_campaign` and the verify
-differential executor switch between bigint lanes and numpy bit-slice
-words without touching batching logic -- and what keeps the two
-backends bit-exact by construction: they build their force masks from
-the *same* ``forced_bits`` map.
+Keeping the plan engine-agnostic is what lets :func:`lane_simulator`
+pick bigint lanes or numpy bit-slice words by lane count alone, without
+touching any harness -- and what keeps the two engines bit-exact by
+construction: they build their force masks from the *same*
+``forced_bits`` map.  :func:`lane_simulator` is the one place a lane
+engine is chosen; every lane-packed run (fault campaigns, suite and
+differential verification, Monte-Carlo yield) builds through it.
 
 :class:`LaneMemoryHarness` is the matching *architectural* half: the
 behavioural instruction-ROM / data-RAM model every lane-packed core
@@ -35,6 +36,22 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError
+from repro.obs.metrics import counter as _obs_counter
+
+#: Lane count from which the numpy bit-slice engine runs a plan; below
+#: it the bigint engine does.  Set from the crossover measured in
+#: ``docs/MODELS.md`` ("How the lane engine is picked"): a numpy pass
+#: costs nearly the same at 64 lanes as at 8192 (per-gate ufunc
+#: dispatch dominates), while a bigint pass grows with the per-lane
+#: Python memory plumbing, so bigint wins narrow plans and numpy wide
+#: ones.
+NUMPY_MIN_LANES = 128
+
+#: Lane-simulator runs per engine (which engine the dispatch picked).
+_ENGINE_RUNS = {
+    engine: _obs_counter(f"lanes.runs.{engine}")
+    for engine in ("bigint", "numpy")
+}
 
 
 @dataclass(frozen=True)
@@ -131,6 +148,29 @@ class LanePlan:
         ]
 
 
+def lane_engine(lanes: int) -> str:
+    """The engine :func:`lane_simulator` runs ``lanes`` lanes on."""
+    return "bigint" if lanes < NUMPY_MIN_LANES else "numpy"
+
+
+def lane_simulator(netlist, plan: LanePlan):
+    """A lane simulator for ``plan``, its engine picked by lane count.
+
+    Returns a bigint :class:`~repro.netlist.compile.BitParallelSimulator`
+    below :data:`NUMPY_MIN_LANES` lanes and a numpy
+    :class:`~repro.netlist.nsim.NumpySimulator` from there on.  Both
+    are bit-exact with each other (they share the plan), so the choice
+    is purely a speed one.
+    """
+    engine = lane_engine(plan.lanes)
+    _ENGINE_RUNS[engine].inc()
+    if engine == "bigint":
+        from repro.netlist.compile import BitParallelSimulator as simulator
+    else:
+        from repro.netlist.nsim import NumpySimulator as simulator
+    return simulator(netlist, plan=plan)
+
+
 class LaneMemoryHarness:
     """Behavioural ROM/RAM model around a lane-packed core simulator.
 
@@ -155,8 +195,8 @@ class LaneMemoryHarness:
     harness.
 
     Args:
-        sim: A lane simulator (``BitParallelSimulator`` or
-            ``NumpySimulator``) already constructed over the netlist.
+        sim: A lane simulator (from :func:`lane_simulator`) already
+            constructed over the netlist.
         lanes: Lane count (must match the simulator's packing).
         rom: Shared instruction ROM (every lane runs one program), or
         roms: Per-lane instruction ROMs (one program per lane).

@@ -25,7 +25,6 @@ from repro.verify.corpus import (
 from repro.verify.differential import (
     DEFAULT_EXECUTORS,
     Divergence,
-    bitparallel_verify,
     differential_check,
     fault_site_for_output,
     lane_verify,
@@ -50,7 +49,6 @@ __all__ = [
     "LintFinding",
     "LintReport",
     "ShrinkResult",
-    "bitparallel_verify",
     "differential_check",
     "emit_pytest_case",
     "fault_site_for_output",

@@ -9,6 +9,10 @@ Usage::
     python -m repro verify --configs p1_8_2,p2_4_4 --jobs 4
         Specific configurations, fanned across worker processes.
 
+    python -m repro verify --executors compiled,bitparallel
+        A subset of the executors interpreted, compiled, bitparallel,
+        ps-isa (the ISS always runs); other names are usage errors.
+
     python -m repro verify --inject-fault wdata:0 --shrink-dir repros
         Fault-detection demo: inject a stuck-at-1 on the driver of
         ``wdata[0]``, expect the fuzzer to catch it, and write the
@@ -53,6 +57,7 @@ def verify_main(argv: list[str]) -> int:
     from repro.verify.corpus import DEFAULT_CONFIGS, run_campaign
     from repro.verify.differential import (
         DEFAULT_EXECUTORS,
+        check_executors,
         fault_site_for_output,
     )
 
@@ -88,7 +93,7 @@ def verify_main(argv: list[str]) -> int:
             elif arg == "--configs":
                 configs = [_parse_config(n) for n in value().split(",")]
             elif arg == "--executors":
-                executors = tuple(value().split(","))
+                executors = tuple(filter(None, value().split(",")))
             elif arg == "--shrink-dir":
                 shrink_dir = value()
             elif arg == "--inject-fault":
@@ -98,6 +103,10 @@ def verify_main(argv: list[str]) -> int:
         except ValueError as error:
             return _usage_error(str(error))
         i += 1
+    try:
+        check_executors(executors)
+    except ConfigError as error:
+        return _usage_error(f"--executors: {error}")
 
     fault = None
     if inject is not None:

@@ -21,6 +21,7 @@ from repro.obs.trace import span as _obs_span
 from repro.verify.differential import (
     DEFAULT_EXECUTORS,
     DEFAULT_MAX_CYCLES,
+    check_executors,
     differential_check,
 )
 from repro.verify.generator import random_program
@@ -110,7 +111,9 @@ def run_campaign(
         seeds: Iterable of corpus seeds.
         configs: Core configurations to cross the seeds with.
         executors: Differential executors per case (see
-            :data:`DEFAULT_EXECUTORS`).
+            :data:`DEFAULT_EXECUTORS`); an empty or unknown name
+            raises :class:`~repro.errors.ConfigError` before any case
+            runs.
         fault: Optional stuck-at fault injected into every gate-level
             run (the fault-detection demo).  Note the fault is an
             instance index, so it only makes sense with a single
@@ -122,8 +125,9 @@ def run_campaign(
             first failure; nothing is written for green campaigns).
     """
     seeds = list(seeds)
+    executors = check_executors(executors)
     work = [
-        (seed, config, tuple(executors), fault,
+        (seed, config, executors, fault,
          max_cycles, mem_words, max_instructions)
         for config in configs
         for seed in seeds

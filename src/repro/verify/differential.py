@@ -8,11 +8,9 @@ configuration grid:
   architectural reference;
 * the interpreted gate-level simulator (``backend="interpreted"``);
 * the compiled gate-level simulator (``backend="compiled"``);
-* :class:`~repro.netlist.compile.BitParallelSimulator` lanes (many
-  programs through one netlist at once);
-* :class:`~repro.netlist.nsim.NumpySimulator` lanes (the vectorized
-  uint64 bit-slice backend, same lane packing, different kernel
-  machinery);
+* the lane-packed simulator (many programs through one netlist at
+  once, on the engine :func:`repro.netlist.lanes.lane_simulator`
+  picks for the lane count);
 * the **program-specific** shrunken core (Section 7): the same program
   re-verified on a core whose PC, BARs, flags, and operand fields were
   narrowed to exactly what it uses.
@@ -33,25 +31,41 @@ from repro.coregen.cosim import architectural_nets, cosim_verify
 from repro.coregen.fault_test import halt_word_encoder
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_program_for_core
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.isa.analysis import analyze_program
 from repro.isa.program import Program
 from repro.isa.spec import Instruction, MemOperand, Mnemonic
-from repro.netlist.compile import BitParallelSimulator
-from repro.netlist.lanes import LaneMemoryHarness
-from repro.netlist.nsim import NumpySimulator
+from repro.netlist.lanes import (
+    LaneMemoryHarness,
+    LanePlan,
+    lane_engine,
+    lane_simulator,
+)
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
 from repro.sim.machine import Machine
 
 #: Executors the differential stack runs, in order.
-DEFAULT_EXECUTORS = ("interpreted", "compiled", "bitparallel", "numpy", "ps-isa")
+DEFAULT_EXECUTORS = ("interpreted", "compiled", "bitparallel", "ps-isa")
 
 #: Cycle safety valve for fuzz-sized programs.
 DEFAULT_MAX_CYCLES = 100_000
 
 _CHECKED = _obs_counter("verify.programs_checked")
 _DIVERGENCES = _obs_counter("verify.divergences")
+
+
+def check_executors(executors) -> tuple[str, ...]:
+    """``executors`` as a tuple, or :class:`ConfigError` when it is
+    empty or names an executor outside :data:`DEFAULT_EXECUTORS`."""
+    executors = tuple(executors)
+    unknown = [name for name in executors if name not in DEFAULT_EXECUTORS]
+    if unknown or not executors:
+        problem = f"unknown executors {unknown}" if unknown else "no executors"
+        raise ConfigError(
+            f"{problem} (choose from {', '.join(DEFAULT_EXECUTORS)})"
+        )
+    return executors
 
 
 @dataclass(frozen=True)
@@ -204,18 +218,15 @@ def lane_verify(
     config: CoreConfig,
     fault=None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    simulator=BitParallelSimulator,
 ) -> list[list[str]]:
     """Run a batch of programs as packed lanes; diff each lane.
 
     One lane-parallel simulator pass carries every program as a
     separate lane of the same netlist, so a batch of N costs roughly
-    one gate-level simulation.  ``simulator`` selects the lane backend
-    -- :class:`BitParallelSimulator` (bigint) or
-    :class:`NumpySimulator` (vectorized bit-slice); both share the
-    :class:`~repro.netlist.lanes.LanePlan` packing semantics, so this
-    harness is backend-agnostic.  Returns one mismatch-string list per
-    program (empty = that lane agrees with the ISS).
+    one gate-level simulation; the engine is the one
+    :func:`~repro.netlist.lanes.lane_simulator` picks for N lanes.
+    Returns one mismatch-string list per program (empty = that lane
+    agrees with the ISS).
 
     Single-stage cores step exactly as many cycles as the longest lane
     has instructions; deeper pipelines get a stall/flush margin and
@@ -226,8 +237,11 @@ def lane_verify(
     machines = [iss_reference(p, config, max_cycles) for p in programs]
     lanes = len(programs)
     netlist = generate_core(config)
-    faults = [fault] * lanes if fault is not None else None
-    sim = simulator(netlist, lanes, faults=faults)
+    plan = (
+        LanePlan(lanes) if fault is None
+        else LanePlan.for_faults([fault] * lanes)
+    )
+    sim = lane_simulator(netlist, plan)
     flag_nets, bar_nets = architectural_nets(netlist)
 
     mask = (1 << config.datawidth) - 1
@@ -251,7 +265,11 @@ def lane_verify(
     steps = max(m.stats.instructions for m in machines)
     if config.pipeline_stages > 1:
         steps = config.pipeline_stages * steps + 2 * len(max(roms, key=len)) + 24
-    harness.run(steps)
+    with _obs_span(
+        "lane_verify", design=config.name, engine=lane_engine(lanes),
+        lanes=lanes,
+    ):
+        harness.run(steps)
     memories = harness.memory_rows()
     pcs = sim.read_output("pc")
     flag_values = {
@@ -297,19 +315,6 @@ def lane_verify(
     return reports
 
 
-def bitparallel_verify(
-    programs: list[Program],
-    config: CoreConfig,
-    fault=None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> list[list[str]]:
-    """:func:`lane_verify` on the bigint backend (back-compat name)."""
-    return lane_verify(
-        programs, config, fault=fault, max_cycles=max_cycles,
-        simulator=BitParallelSimulator,
-    )
-
-
 def differential_check(
     program: Program,
     config: CoreConfig,
@@ -324,7 +329,12 @@ def differential_check(
     list = full agreement).  An executor that *crashes* (e.g. a
     fault-wedged pipeline that never quiesces) counts as divergent
     rather than aborting the campaign.
+
+    Raises:
+        ConfigError: If ``executors`` is empty or names an unknown
+            executor (see :func:`check_executors`).
     """
+    executors = check_executors(executors)
     divergences: list[Divergence] = []
 
     def record(executor: str, config_name: str, details) -> None:
@@ -350,21 +360,14 @@ def differential_check(
                 mismatches = [f"executor crashed: {error}"]
             record(backend, config.name, mismatches)
 
-        for executor, simulator in (
-            ("bitparallel", BitParallelSimulator),
-            ("numpy", NumpySimulator),
-        ):
-            if executor not in executors:
-                continue
+        if "bitparallel" in executors:
             try:
-                lanes = lane_verify(
+                mismatches = lane_verify(
                     [program], config, fault=fault, max_cycles=max_cycles,
-                    simulator=simulator,
-                )
-                mismatches = lanes[0]
+                )[0]
             except Exception as error:
                 mismatches = [f"executor crashed: {error}"]
-            record(executor, config.name, mismatches)
+            record("bitparallel", config.name, mismatches)
 
         if "ps-isa" in executors:
             try:

@@ -1,10 +1,8 @@
 """Lane-packed suite verification (:func:`repro.eval.suite.verify_suite`)."""
 
-import pytest
-
 import repro.eval.suite as suite_mod
-from repro.errors import SimulationError
 from repro.eval.suite import evaluate_suite, verify_groups, verify_suite
+from repro.netlist import lanes
 
 
 def test_verify_groups_cover_native_widths():
@@ -23,29 +21,26 @@ def test_verify_groups_cover_native_widths():
         assert config.pipeline_stages == 1
 
 
-def test_verify_suite_rejects_unknown_backend():
-    with pytest.raises(SimulationError, match="unknown lane backend"):
-        verify_suite("jit")
-
-
 def test_verify_suite_batched_full():
-    verified = verify_suite("batched")
+    """The whole suite, lane-packed on the engine the dispatch picks
+    (bigint: no group reaches ``NUMPY_MIN_LANES``)."""
+    verified = verify_suite()
     assert verified == {"p1_8_2": 7, "p1_16_2": 6, "p1_32_2": 6}
 
 
 def test_verify_suite_numpy_first_group(monkeypatch):
-    """The numpy leg on the 8-bit group (the full sweep runs in CI)."""
+    """The numpy engine on the 8-bit group, forced through the dispatch
+    threshold."""
     groups = verify_groups()[:1]
     monkeypatch.setattr(suite_mod, "verify_groups", lambda: groups)
-    assert verify_suite("numpy") == {"p1_8_2": 7}
+    monkeypatch.setattr(lanes, "NUMPY_MIN_LANES", 1)
+    assert verify_suite() == {"p1_8_2": 7}
 
 
 def test_evaluate_suite_with_verification(monkeypatch):
-    """``verify_backend=`` gates evaluation on a clean verify pass."""
+    """``verify=True`` gates evaluation on a clean verify pass."""
     calls = []
-    monkeypatch.setattr(
-        suite_mod, "verify_suite", lambda backend: calls.append(backend) or {}
-    )
-    results = evaluate_suite(("EGFET",), verify_backend="numpy")
-    assert calls == ["numpy"]
+    monkeypatch.setattr(suite_mod, "verify_suite", lambda: calls.append(1) or {})
+    results = evaluate_suite(("EGFET",), verify=True)
+    assert calls == [1]
     assert results

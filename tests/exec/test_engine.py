@@ -10,6 +10,7 @@ from repro.errors import ConfigError
 from repro.eval.suite import evaluate_suite
 from repro.exec import map_in_chunks, parallel_map, resolve_jobs, set_default_jobs
 from repro.exec import engine
+from repro.netlist import lanes
 from repro.programs import build_benchmark
 
 
@@ -186,14 +187,11 @@ class TestPipelineDeterminism:
         parallel = run_fault_campaign(program, max_faults=96, jobs=2)
         assert serial == parallel
 
-    def test_fault_campaign_numpy_parallel(self, cache_dir):
+    def test_fault_campaign_numpy_parallel(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(lanes, "NUMPY_MIN_LANES", 1)
         program = build_benchmark("mult", 8, 4)
-        serial = run_fault_campaign(
-            program, max_faults=96, backend="numpy", lanes=48
-        )
-        parallel = run_fault_campaign(
-            program, max_faults=96, backend="numpy", lanes=48, jobs=2
-        )
+        serial = run_fault_campaign(program, max_faults=96)
+        parallel = run_fault_campaign(program, max_faults=96, jobs=2)
         assert serial == parallel
 
     def test_fault_campaign_scalar_fallback(self, cache_dir, monkeypatch):

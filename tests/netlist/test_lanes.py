@@ -14,7 +14,8 @@ from repro.errors import SimulationError
 from repro.netlist.compile import BitParallelSimulator
 from repro.netlist.core import Netlist
 from repro.netlist.faults import StuckAtFault
-from repro.netlist.lanes import LanePlan
+from repro.netlist import lanes
+from repro.netlist.lanes import LanePlan, lane_engine, lane_simulator
 from repro.netlist.nsim import NumpySimulator, compile_numpy_netlist
 
 
@@ -94,6 +95,23 @@ class TestLanePlan:
         netlist = generate_core(CoreConfig(datawidth=4))
         with pytest.raises(SimulationError, match="faults for"):
             simulator(netlist, 3, faults=[StuckAtFault(0, 1)] * 2)
+
+
+class TestLaneDispatch:
+    def test_engine_flips_at_the_threshold(self):
+        netlist = generate_core(CoreConfig(datawidth=4))
+        edge = lanes.NUMPY_MIN_LANES
+        below = lane_simulator(netlist, LanePlan(edge - 1))
+        at = lane_simulator(netlist, LanePlan(edge))
+        assert type(below) is BitParallelSimulator
+        assert type(at) is NumpySimulator
+        assert (below.lanes, at.lanes) == (edge - 1, edge)
+        assert (lane_engine(edge - 1), lane_engine(edge)) == ("bigint", "numpy")
+
+    def test_plan_reaches_the_engine(self):
+        netlist = generate_core(CoreConfig(datawidth=4))
+        plan = LanePlan.for_faults((StuckAtFault(3, 1), None))
+        assert lane_simulator(netlist, plan).plan is plan
 
 
 class TestNumpySimulatorSurfaces:

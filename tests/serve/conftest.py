@@ -90,7 +90,11 @@ def server(serve_obs, manager):
     srv = ReproServer(
         ("127.0.0.1", 0), manager, serve_obs, heartbeat=0.2
     )
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return promptly at teardown
+    # (the 0.5 s default dominated each test's teardown).
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{srv.server_address[1]}"

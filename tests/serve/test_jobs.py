@@ -28,6 +28,9 @@ class TestCanonicalParams:
     def test_unknown_param_rejected(self, serve_obs):
         with pytest.raises(ConfigError, match="unknown echo parameter"):
             canonical_params("echo", {"vlaue": 1})
+        # The lane engine is picked by width, never by a parameter.
+        with pytest.raises(ConfigError, match="unknown campaign parameter"):
+            canonical_params("campaign", {"backend": "numpy"})
 
     def test_builtin_kinds_registered(self):
         for kind in ("sweep", "yield", "campaign", "verify", "profile", "place"):
@@ -61,6 +64,11 @@ class TestJobLifecycle:
         assert job.status == "failed"
         assert "echo told to fail" in job.error
         assert obs.REGISTRY.counter("serve.jobs.failed").value >= 1
+        # Bad campaign inputs fail the job with the library's message.
+        job, _ = manager.submit("campaign", {"stride": 0})
+        wait_until(lambda: job.finished)
+        assert job.status == "failed"
+        assert "stride must be >= 1" in job.error
 
     def test_job_to_dict_shapes(self, manager):
         job, _ = manager.submit("echo", {"value": 1})

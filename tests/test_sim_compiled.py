@@ -14,12 +14,14 @@ import pytest
 
 from repro.coregen.config import CoreConfig, standard_sweep
 from repro.coregen.cosim import cosim_verify
+from repro.coregen import fault_test
 from repro.coregen.fault_test import run_fault_campaign
 from repro.coregen.generator import generate_core
 from repro.errors import SimulationError, UnsupportedInLaneMode
 from repro.isa.assembler import assemble
 from repro.netlist.compile import BitParallelSimulator, compiled_netlist
 from repro.netlist.core import Netlist
+from repro.netlist import lanes as lanes_mod
 from repro.netlist.faults import FaultySimulator, StuckAtFault, enumerate_fault_sites
 from repro.netlist.nsim import NumpySimulator
 from repro.netlist.sim import CycleSimulator
@@ -292,14 +294,15 @@ class TestFixedPointBehaviour:
             sim.step_with_memory(unstable)
 
 
+TINY = ".word x 3\n.word y 5\nADD x, y\nSTORE y, 1\nHALT\n"
+
+
 class TestCampaignEquivalence:
     def test_all_backends_agree(self):
-        program = assemble(
-            ".word x 3\n.word y 5\nADD x, y\nSTORE y, 1\nHALT\n", name="tiny"
-        )
+        program = assemble(TINY, name="tiny")
         campaigns = {
             backend: run_fault_campaign(program, stride=31, backend=backend)
-            for backend in ("interpreted", "compiled", "batched", "numpy")
+            for backend in ("interpreted", "compiled", "batched")
         }
         reference = campaigns["interpreted"]
         for backend, campaign in campaigns.items():
@@ -307,27 +310,49 @@ class TestCampaignEquivalence:
             assert campaign.detected == reference.detected, backend
             assert campaign.undetected_sites == reference.undetected_sites, backend
 
-    def test_batched_partial_final_batch(self):
+    def test_batched_partial_final_batch(self, monkeypatch):
         """A site count that does not divide the lane width still
         covers every fault exactly once."""
+        monkeypatch.setattr(fault_test, "MAX_LANES", 7)
         program = assemble(".word x 1\nSTORE x, 2\nHALT\n", name="simple")
-        campaign = run_fault_campaign(program, stride=40, backend="batched", lanes=7)
+        campaign = run_fault_campaign(program, stride=40)
         assert campaign.total == campaign.detected + len(campaign.undetected_sites)
         assert campaign.total > 7
 
-    def test_numpy_packed_campaign_equals_scalar_runs(self):
+    def test_numpy_packed_campaign_equals_scalar_runs(self, monkeypatch):
         """An N-fault packed numpy campaign detects exactly the same
         faults as N independent scalar compiled runs -- the lane
-        packing property, checked fault for fault (lanes=5 forces
-        several partial batches)."""
-        program = assemble(
-            ".word x 3\n.word y 5\nADD x, y\nSTORE y, 1\nHALT\n", name="tiny"
-        )
+        packing property, checked fault for fault (5-lane batches
+        force several partial batches, all on the numpy engine)."""
+        monkeypatch.setattr(lanes_mod, "NUMPY_MIN_LANES", 1)
+        monkeypatch.setattr(fault_test, "MAX_LANES", 5)
+        program = assemble(TINY, name="tiny")
         scalar = run_fault_campaign(program, stride=13, backend="compiled")
-        packed = run_fault_campaign(program, stride=13, backend="numpy", lanes=5)
+        packed = run_fault_campaign(program, stride=13)
         assert packed.total == scalar.total
         assert packed.detected == scalar.detected
         assert packed.undetected_sites == scalar.undetected_sites
+
+    def test_chunks_on_both_sides_of_the_dispatch(self, monkeypatch):
+        """Full 8-lane batches run on numpy, the short final batch on
+        bigint; the campaign still equals the interpreted oracle fault
+        for fault."""
+        program = assemble(TINY, name="tiny")
+        oracle = run_fault_campaign(program, stride=13, backend="interpreted")
+        assert oracle.total % 8
+        engines = []
+        pick = lanes_mod.lane_engine
+
+        def recording(lanes):
+            engines.append(pick(lanes))
+            return engines[-1]
+
+        monkeypatch.setattr(lanes_mod, "lane_engine", recording)
+        monkeypatch.setattr(lanes_mod, "NUMPY_MIN_LANES", 8)
+        monkeypatch.setattr(fault_test, "MAX_LANES", 8)
+        mixed = run_fault_campaign(program, stride=13)
+        assert set(engines) == {"bigint", "numpy"}
+        assert mixed == oracle
 
 
 class TestCompiledCosim:

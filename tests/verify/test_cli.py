@@ -9,6 +9,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.coregen.config import CoreConfig
+from repro.errors import ConfigError
 from repro.verify.corpus import run_campaign
 from repro.verify.differential import fault_site_for_output
 
@@ -48,6 +49,14 @@ class TestCampaign:
             assert "differential_check" in path.read_text()
 
 
+    def test_unknown_or_empty_executors_rejected(self):
+        for executors in (("bogus",), ("compiled", "numpy"), ()):
+            with pytest.raises(ConfigError, match="choose from"):
+                run_campaign(
+                    range(1), configs=(SMOKE_CONFIG,), executors=executors,
+                )
+
+
 class TestCli:
     def test_verify_subcommand(self, capsys):
         code = main([
@@ -67,6 +76,15 @@ class TestCli:
 
     def test_verify_unknown_option(self):
         assert main(["verify", "--frobnicate"]) == 2
+
+    def test_verify_unknown_or_empty_executors(self, capsys):
+        """A typo must not turn into a run that checks nothing."""
+        for names in ("bogus", "", "compiled,numpy", ","):
+            code = main(["verify", "--count", "1", "--executors", names])
+            captured = capsys.readouterr()
+            assert code == 2, names
+            assert "bitparallel" in captured.err, names
+            assert "all agree" not in captured.out, names
 
     def test_inject_fault_is_caught(self, capsys, tmp_path):
         code = main([

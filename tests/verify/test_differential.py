@@ -8,9 +8,9 @@ from repro.coregen.generator import generate_core
 from repro.isa.program import Program
 from repro.isa.spec import Instruction, MemOperand, Mnemonic
 from repro.verify.differential import (
-    bitparallel_verify,
     differential_check,
     fault_site_for_output,
+    lane_verify,
     ps_isa_variant,
     remap_bars,
 )
@@ -30,10 +30,19 @@ class TestAgreement:
             divergences = differential_check(program, config, seed=seed)
             assert not divergences, "; ".join(str(d) for d in divergences)
 
+    def test_unknown_or_empty_executors_rejected(self):
+        from repro.errors import ConfigError
+
+        config = CoreConfig(datawidth=8, pipeline_stages=1, num_bars=2)
+        program = random_program(0, 8, 2)
+        for executors in (("numpy",), ("bogus", "compiled"), ()):
+            with pytest.raises(ConfigError, match="choose from"):
+                differential_check(program, config, executors=executors)
+
     def test_bitparallel_batches_lanes(self):
         config = CoreConfig(datawidth=8, pipeline_stages=1, num_bars=2)
         programs = [random_program(seed, 8, 2) for seed in range(6)]
-        reports = bitparallel_verify(programs, config)
+        reports = lane_verify(programs, config)
         assert len(reports) == len(programs)
         assert all(not lane for lane in reports)
 
