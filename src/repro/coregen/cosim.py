@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError, SimulationError
 from repro.isa.program import Program
 from repro.isa.spec import Flag, Instruction, Mnemonic
+from repro.netlist.lanes import FETCH_OUTPUTS, READ_OUTPUTS
 from repro.netlist.sim import CycleSimulator
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
@@ -141,29 +142,31 @@ class CoSimHarness:
             Instruction(Mnemonic.BRN, target=pc, mask=0), self.config
         )
 
-    def _provide(self, sim: CycleSimulator) -> None:
+    def step(self) -> None:
+        """Run one full clock cycle (fetch/execute/writeback).
+
+        Settles the ``pc`` cone and fetches, settles the
+        ``addr_a``/``addr_b`` cone and reads data memory, then settles
+        the whole netlist, writes back and ticks (``docs/MODELS.md``,
+        "Cycle schedule").
+        """
+        sim = self.sim
+        memory = self.memory
+        sim.settle(FETCH_OUTPUTS)
         pc = sim.read_output("pc")
         word = self.rom[pc] if pc < len(self.rom) else self._halt_word(pc)
         sim.set_input("instr", word)
-        addr_a = sim.read_output("addr_a")
-        addr_b = sim.read_output("addr_b")
-        sim.set_input("rdata_a", self.memory[addr_a])
-        sim.set_input("rdata_b", self.memory[addr_b])
-
-    def step(self) -> None:
-        """Run one full clock cycle (fetch/execute/writeback)."""
-        sim = self.sim
-        sim.settle()
-        self._provide(sim)
-        sim.settle()
-        self._provide(sim)
+        sim.settle(READ_OUTPUTS)
+        sim.set_input("rdata_a", memory[sim.read_output("addr_a")])
+        sim.set_input("rdata_b", memory[sim.read_output("addr_b")])
         sim.settle()
         we = sim.read_output("we")
-        waddr = sim.read_output("waddr")
-        wdata = sim.read_output("wdata")
+        if we:
+            waddr = sim.read_output("waddr")
+            wdata = sim.read_output("wdata")
         sim.tick()
         if we:
-            self.memory[waddr] = wdata
+            memory[waddr] = wdata
         self.cycle += 1
         self.wrote_last_cycle = bool(we)
 
@@ -171,7 +174,7 @@ class CoSimHarness:
 
     @property
     def pc(self) -> int:
-        self.sim.settle()
+        self.sim.settle(FETCH_OUTPUTS)
         return self.sim.read_output("pc")
 
     def flag(self, flag: Flag) -> int:

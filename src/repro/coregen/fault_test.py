@@ -179,8 +179,6 @@ def _lane_signatures(
 ) -> list[tuple]:
     """Per-lane architectural signatures after a finished harness run."""
     sim = harness.sim
-    memory_rows = harness.memory_rows()
-    pcs = sim.read_output("pc")
     flag_values = [
         sim.read_nets(context.flag_nets.get(flag.name, ()))
         for flag in config.flags
@@ -189,15 +187,15 @@ def _lane_signatures(
         sim.read_nets(context.bar_nets.get(index, ()))
         for index in range(1, config.num_bars)
     ]
-    return [
-        (
-            tuple(memory_rows[lane]),
-            pcs[lane],
-            tuple(values[lane] for values in flag_values),
-            tuple(values[lane] for values in bar_values),
+    empty = [()] * harness.lanes
+    return list(
+        zip(
+            harness.memory_rows(),
+            sim.read_output("pc"),
+            list(zip(*flag_values)) or empty,
+            list(zip(*bar_values)) or empty,
         )
-        for lane in range(harness.lanes)
-    ]
+    )
 
 
 def _run_batched(
@@ -209,12 +207,13 @@ def _run_batched(
 ) -> list[tuple]:
     """Architectural signatures of ``len(faults)`` faulty runs at once.
 
-    Mirrors :meth:`CoSimHarness.step` exactly -- three settles with
-    behavioural ROM/RAM provided between them, then writeback -- but
-    every lane carries its own fault (or per-lane fault tuple) and its
-    own data-memory image.  The engine comes from
-    :func:`~repro.netlist.lanes.lane_simulator` and the memory loop
-    from the shared :class:`~repro.netlist.lanes.LaneMemoryHarness`.
+    Mirrors :meth:`CoSimHarness.step` exactly -- the ``pc`` cone
+    settle and fetch, the address cone settle and data read, then the
+    full settle and writeback -- but every lane carries its own fault
+    (or per-lane fault tuple) and its own data-memory image.  The
+    engine comes from :func:`~repro.netlist.lanes.lane_simulator` and
+    the memory loop from the shared
+    :class:`~repro.netlist.lanes.LaneMemoryHarness`.
     """
     if context is None:
         context = _prepare_campaign(program, config)

@@ -1,16 +1,15 @@
 """Compiled gate-level simulation: netlist-to-Python code generation.
 
 The interpreted :class:`repro.netlist.sim.CycleSimulator` walks the
-levelized netlist one instance at a time, paying a dict lookup and a
-Python function call per gate per settle -- three settles per clock
-cycle.  This module removes that overhead Verilator-style: the netlist
-is translated *once* into straight-line Python source (one bitwise
-expression statement per gate, operating on local variables) which is
-``compile()``d and ``exec``'d into ordinary functions.  Evaluating a
-settle is then a single call into a code object with no per-gate
-interpreter dispatch, which is an order of magnitude faster.
+levelized netlist one instance at a time, paying a Python function
+call per gate per settle.  This module removes that overhead
+Verilator-style: the netlist is translated *once* into straight-line
+Python source (one bitwise expression statement per gate, operating on
+local variables) which is ``compile()``d and ``exec``'d into ordinary
+functions.  Evaluating a settle is then a single call into a code
+object with no per-gate interpreter dispatch.
 
-Four functions are generated per netlist:
+The generated module defines, per netlist:
 
 ``settle(V, M)``
     Plain combinational settle over the value table ``V`` (a flat list
@@ -27,6 +26,15 @@ Four functions are generated per netlist:
     net -- the classic bit-parallel stuck-at fault injection.  One
     compiled function therefore serves *every* fault site (no
     per-fault recompilation).
+
+``CONES``
+    Cone kernels for the memory phases of a core cycle: a dict from an
+    output selection (``("pc",)``, ``("addr_a", "addr_b")``, see
+    :data:`repro.netlist.lanes.CONE_OUTPUTS`) to a plain and a forced
+    settle over just that selection's fan-in cone.  A core cycle
+    settles the ``pc`` cone before the fetch, the address cone before
+    the data-memory read, and the whole netlist once before the edge
+    -- instead of three full settles.
 
 ``tick(V, P, T, resetting)``
     Scalar clock edge with exact per-instance toggle accounting
@@ -54,13 +62,14 @@ from __future__ import annotations
 
 import importlib.util
 import marshal
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.errors import SimulationError, UnsupportedInLaneMode
 from repro.exec.cache import load_artifact, source_digest, store_artifact, structural_hash
 from repro.netlist.core import CONST1, Instance, Netlist, SEQUENTIAL_CELLS
-from repro.netlist.lanes import LanePlan
+from repro.netlist.lanes import LanePlan, memory_phase_cones
 from repro.netlist.sta import _topological_order
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.runtime import STATE as _OBS
@@ -97,20 +106,24 @@ class CompiledNetlist:
     Attributes:
         settle: Plain straight-line settle ``(V, M)``.
         settle_forced: Settle with force masks ``(V, M, A, O)``.
+        cones: Output selection -> ``(plain, forced)`` settles over
+            that selection's fan-in cone only.
         tick: Scalar clock edge with toggle accounting
             ``(V, P, T, resetting)``.
         tick_lanes: Bit-parallel clock edge ``(V, M)``.
         source: The generated Python source (kept for debugging).
-        code: The compiled module code object (marshaled into the
-            on-disk artifact cache).
+        code: The module's code objects, one per top-level statement
+            (see :func:`_compile_source`; marshaled into the on-disk
+            artifact cache).
     """
 
     settle: Callable[[list, int], None]
     settle_forced: Callable[[list, int, list, list], None]
+    cones: dict[tuple[str, ...], tuple[Callable, Callable]]
     tick: Callable[[list, list, list, bool], None]
     tick_lanes: Callable[[list, int], None]
     source: str = field(repr=False, default="")
-    code: object = field(repr=False, default=None)
+    code: tuple = field(repr=False, default=())
 
 
 def _expression(instance: Instance) -> str:
@@ -134,47 +147,82 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
         if instance.cell == "LATCHX1":
             raise SimulationError("level-sensitive latches are not simulatable")
     source = _generate_source(netlist)
-    code = compile(source, f"<compiled:{netlist.name}>", "exec")
-    return _bind(code, source)
+    return _bind(_compile_source(source, netlist.name), source)
 
 
-def _generate_source(netlist: Netlist) -> str:
-    """Emit the four straight-line functions as Python source."""
-    order = _topological_order(netlist)
-    position = {inst.output: n for n, inst in enumerate(netlist.instances)}
-    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
-    comb_outputs = {inst.output for inst in order}
-    sources = sorted(
-        {net for inst in order for net in inst.inputs} - comb_outputs
+def _compile_source(source: str, name: str) -> tuple:
+    """Compile the generated module one top-level statement at a time.
+
+    The compiler holds the whole syntax tree of what it compiles, so
+    function by function the peak is the largest function's tree (the
+    scalar ``tick``), less than half the whole module's on the 32-bit
+    cores.
+    """
+    return tuple(
+        compile(chunk, f"<compiled:{name}>", "exec")
+        for chunk in re.split(r"\n(?=\S)", source)
     )
 
-    lines: list[str] = []
 
-    # -- settle(V, M) ------------------------------------------------------
-    lines.append("def settle(V, M):")
+def _settle_source(
+    name: str, instances: Sequence[Instance], reads: Sequence[int] = ()
+) -> list[str]:
+    """Emit a plain and a forced settle over ``instances`` (topo order).
+
+    ``reads`` lists extra nets the caller reads after the settle; any
+    of them not driven by ``instances`` are sources, clamped by the
+    forced variant like every other source.
+    """
+    outputs = {inst.output for inst in instances}
+    sources = sorted(
+        ({net for inst in instances for net in inst.inputs} | set(reads))
+        - outputs
+    )
+    lines = [f"def {name}(V, M):"]
     for net in sources:
         lines.append(f"    v{net} = V[{net}]")
-    for inst in order:
+    for inst in instances:
         lines.append(f"    v{inst.output} = {_expression(inst)}")
-    for inst in order:
+    for inst in instances:
         lines.append(f"    V[{inst.output}] = v{inst.output}")
     lines.append("    return")
 
-    # -- settle_forced(V, M, A, O) ----------------------------------------
     # Sources are forced at load (covering faults on flop outputs and
     # primary inputs) and written back so direct reads observe the
     # forced value, exactly like the interpreted FaultySimulator.
-    lines.append("def settle_forced(V, M, A, O):")
+    lines.append(f"def {name}_forced(V, M, A, O):")
     for net in sources:
         lines.append(f"    v{net} = (V[{net}] & A[{net}]) | O[{net}]")
     for net in sources:
         lines.append(f"    V[{net}] = v{net}")
-    for inst in order:
+    for inst in instances:
         out = inst.output
         lines.append(f"    v{out} = (({_expression(inst)}) & A[{out}]) | O[{out}]")
-    for inst in order:
+    for inst in instances:
         lines.append(f"    V[{inst.output}] = v{inst.output}")
     lines.append("    return")
+    return lines
+
+
+def _generate_source(netlist: Netlist) -> str:
+    """Emit the settle, cone-settle and tick functions as Python source."""
+    order = _topological_order(netlist)
+    position = {inst.output: n for n, inst in enumerate(netlist.instances)}
+    flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
+
+    # -- settle(V, M), settle_forced(V, M, A, O) and one pair per cone ------
+    lines = _settle_source("settle", order)
+    cones = memory_phase_cones(netlist, order)
+    for k, (instances, nets) in enumerate(cones.values()):
+        lines.extend(_settle_source(f"cone_{k}", instances, nets))
+    lines.append(
+        "CONES = {"
+        + "".join(
+            f"{outputs!r}: (cone_{k}, cone_{k}_forced), "
+            for k, outputs in enumerate(cones)
+        )
+        + "}"
+    )
 
     # -- tick(V, P, T, resetting) ------------------------------------------
     # Identical semantics to the interpreted tick: combinational toggle
@@ -240,13 +288,15 @@ def make_capture(netlist: Netlist, nets: Sequence[int]) -> Callable[[list], tupl
     return namespace["capture"]
 
 
-def _bind(code, source: str) -> CompiledNetlist:
-    """Exec a generated module code object into a :class:`CompiledNetlist`."""
+def _bind(code: tuple, source: str) -> CompiledNetlist:
+    """Exec generated code objects into a :class:`CompiledNetlist`."""
     namespace: dict = {}
-    exec(code, namespace)
+    for statement in code:
+        exec(statement, namespace)
     return CompiledNetlist(
         settle=namespace["settle"],
         settle_forced=namespace["settle_forced"],
+        cones=namespace["CONES"],
         tick=namespace["tick"],
         tick_lanes=namespace["tick_lanes"],
         source=source,
@@ -255,9 +305,9 @@ def _bind(code, source: str) -> CompiledNetlist:
 
 
 def _artifact_key(netlist: Netlist) -> str:
-    """Disk-cache key: structure + the compiler/levelizer source digest."""
+    """Disk-cache key: structure + the compiler/levelizer/cone source digest."""
     return structural_hash(netlist) + source_digest(
-        "repro.netlist.compile", "repro.netlist.sta"
+        "repro.netlist.compile", "repro.netlist.sta", "repro.netlist.lanes"
     )
 
 
@@ -265,10 +315,10 @@ def _from_artifact(netlist: Netlist, key: str) -> CompiledNetlist | None:
     """Rebuild compiled code from a cached artifact, or None on miss.
 
     The artifact carries the generated source plus the marshaled
-    module code object tagged with the bytecode magic that produced
-    it: a same-interpreter hit skips parsing entirely (``marshal``
-    load), a cross-version hit recompiles the cached source -- both
-    skip codegen.
+    code objects tagged with the bytecode magic that produced them: a
+    same-interpreter hit skips parsing entirely (``marshal`` load), a
+    cross-version hit recompiles the cached source -- both skip
+    codegen.
     """
     payload = load_artifact(_ARTIFACT_KIND, key)
     if not isinstance(payload, dict) or "source" not in payload:
@@ -277,9 +327,7 @@ def _from_artifact(netlist: Netlist, key: str) -> CompiledNetlist | None:
         if payload.get("magic") == importlib.util.MAGIC_NUMBER:
             code = marshal.loads(payload["code"])
         else:
-            code = compile(
-                payload["source"], f"<compiled:{netlist.name}>", "exec"
-            )
+            code = _compile_source(payload["source"], netlist.name)
         return _bind(code, payload["source"])
     except (ValueError, TypeError, SyntaxError, KeyError, EOFError):
         return None  # treat any decode failure as a plain miss
@@ -392,23 +440,35 @@ class BitParallelSimulator:
         bus = self.netlist.inputs.get(name)
         if bus is None:
             raise SimulationError(f"no input bus named {name!r}")
+        limit = 1 << len(bus)
+        V = self._values
         if isinstance(values, int):
-            values = [values] * self.lanes
+            if values < 0 or values >= limit:
+                raise SimulationError(
+                    f"value {values} does not fit input {name!r} "
+                    f"({len(bus)} bits)"
+                )
+            for i, net in enumerate(bus):
+                V[net] = self.mask if (values >> i) & 1 else 0
+            return
         if len(values) != self.lanes:
             raise SimulationError(
                 f"{len(values)} values for {self.lanes} lanes on {name!r}"
             )
-        limit = 1 << len(bus)
-        for value in values:
-            if value < 0 or value >= limit:
-                raise SimulationError(
-                    f"value {value} does not fit input {name!r} ({len(bus)} bits)"
-                )
-        for i, net in enumerate(bus):
-            word = 0
-            for lane, value in enumerate(values):
-                word |= ((value >> i) & 1) << lane
-            self._values[net] = word
+        if min(values) < 0 or max(values) >= limit:
+            bad = next(v for v in values if v < 0 or v >= limit)
+            raise SimulationError(
+                f"value {bad} does not fit input {name!r} ({len(bus)} bits)"
+            )
+        # Transpose through one string of MSB-first lane values, highest
+        # lane first: every ``width``-th character from offset ``k`` is
+        # bus bit ``width - 1 - k`` of each lane, highest lane first --
+        # the binary digits of that net's lane word.
+        width = len(bus)
+        digits = f"0{width}b"
+        flat = "".join([format(value, digits) for value in reversed(values)])
+        for k, net in enumerate(reversed(bus.nets)):
+            V[net] = int(flat[k::width], 2)
 
     def read_output(self, name: str) -> list[int]:
         """Read output bus ``name``: one integer per lane."""
@@ -419,24 +479,35 @@ class BitParallelSimulator:
 
     def read_nets(self, nets: Sequence[int]) -> list[int]:
         """Read an arbitrary LSB-first net collection, one int per lane."""
-        out = [0] * self.lanes
-        for i, net in enumerate(nets):
-            word = self._values[net]
-            if word:
-                for lane in range(self.lanes):
-                    out[lane] |= ((word >> lane) & 1) << i
+        if not nets:
+            return [0] * self.lanes
+        V = self._values
+        # The inverse transpose of set_input: lane words of the nets,
+        # highest net first; every ``lanes``-th character from offset
+        # ``k`` spells lane ``lanes - 1 - k``'s value, MSB first.
+        lanes = self.lanes
+        flat = "".join([format(V[net], f"0{lanes}b") for net in reversed(nets)])
+        out = [int(flat[k::lanes], 2) for k in range(lanes)]
+        out.reverse()
         return out
 
     # -- phases ------------------------------------------------------------
 
-    def settle(self) -> None:
-        """Propagate all lanes through the combinational logic."""
+    def settle(self, outputs: tuple[str, ...] | None = None) -> None:
+        """Propagate all lanes through the combinational logic.
+
+        With ``outputs`` (one of :data:`~repro.netlist.lanes.CONE_OUTPUTS`)
+        only those buses' fan-in cone settles; they then read exactly
+        as after a full settle.  Any other selection settles everything.
+        """
+        compiled = self._compiled
+        cone = compiled.cones.get(outputs)
         if self._force_and is not None:
-            self._compiled.settle_forced(
-                self._values, self.mask, self._force_and, self._force_or
-            )
+            kernel = cone[1] if cone else compiled.settle_forced
+            kernel(self._values, self.mask, self._force_and, self._force_or)
         else:
-            self._compiled.settle(self._values, self.mask)
+            kernel = cone[0] if cone else compiled.settle
+            kernel(self._values, self.mask)
 
     def tick(self) -> None:
         """Advance one clock edge in every lane (per-lane async reset)."""

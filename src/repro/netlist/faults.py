@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import SimulationError
-from repro.netlist.core import CELL_FUNCTIONS, Netlist, SEQUENTIAL_CELLS
+from repro.netlist.core import Netlist
 from repro.netlist.sim import CycleSimulator
 from repro.obs.metrics import counter as _obs_counter
 
@@ -64,23 +64,24 @@ class FaultySimulator(CycleSimulator):
             self._force_and[self._fault_net] = 0
             self._force_or[self._fault_net] = fault.stuck_value
 
-    def settle(self) -> None:
+    def settle(self, outputs: tuple[str, ...] | None = None) -> None:
         # Levelized evaluation with the faulted driver overridden *in
         # place*, so every downstream consumer sees the stuck value.
         values = self._values
         if self._compiled is not None:
-            self._compiled.settle_forced(
-                values, 1, self._force_and, self._force_or
-            )
+            cone = self._compiled.cones.get(outputs)
+            kernel = cone[1] if cone else self._compiled.settle_forced
+            kernel(values, 1, self._force_and, self._force_or)
             return
-        values[self._fault_net] = self.fault.stuck_value
-        for instance in self._order:
-            if instance.output == self._fault_net:
+        fault_net = self._fault_net
+        values[fault_net] = self.fault.stuck_value
+        for function, out, a, b in self._gates:
+            if out == fault_net:
                 continue
-            function = CELL_FUNCTIONS[instance.cell]
-            values[instance.output] = function(
-                *(values[n] for n in instance.inputs)
-            )
+            if b is None:
+                values[out] = function(values[a])
+            else:
+                values[out] = function(values[a], values[b])
 
     def tick(self) -> None:
         super().tick()

@@ -28,6 +28,15 @@ loop; they now both drive this one harness, which picks the vectorized
 array path automatically when the simulator exposes
 ``read_output_array`` (numpy bit-slice) and the per-lane list path
 otherwise (bigint).
+
+The memory phases of a core cycle read only a few output buses:
+the fetch reads ``pc`` (:data:`FETCH_OUTPUTS`) and the data-memory
+read reads ``addr_a``/``addr_b`` (:data:`READ_OUTPUTS`).  Every
+compiled engine generates a *cone kernel* per such selection
+(:func:`memory_phase_cones`) that settles only the transitive fan-in
+of those buses, and the harnesses settle through
+``sim.settle(outputs)`` before each phase -- see the "Cycle schedule"
+section of ``docs/MODELS.md``.
 """
 
 from __future__ import annotations
@@ -44,8 +53,26 @@ from repro.obs.metrics import counter as _obs_counter
 #: costs nearly the same at 64 lanes as at 8192 (per-gate ufunc
 #: dispatch dominates), while a bigint pass grows with the per-lane
 #: Python memory plumbing, so bigint wins narrow plans and numpy wide
-#: ones.
-NUMPY_MIN_LANES = 128
+#: ones.  The value is the smallest measured lane count at which numpy
+#: wins the median on every program of that table.
+NUMPY_MIN_LANES = 320
+
+#: Output buses the instruction fetch reads.
+FETCH_OUTPUTS = ("pc",)
+
+#: Output buses the data-memory read ports read.
+READ_OUTPUTS = ("addr_a", "addr_b")
+
+#: Output selections the compiled engines generate cone kernels for.
+CONE_OUTPUTS = (FETCH_OUTPUTS, READ_OUTPUTS)
+
+#: Input buses a cycle provides only after each selection is read:
+#: the fetch reads ``pc`` before ``instr`` and the data words are set,
+#: the read ports read the addresses before the data words are set.
+_PROVIDED_LATER = {
+    FETCH_OUTPUTS: ("instr", "rdata_a", "rdata_b"),
+    READ_OUTPUTS: ("rdata_a", "rdata_b"),
+}
 
 #: Lane-simulator runs per engine (which engine the dispatch picked).
 _ENGINE_RUNS = {
@@ -148,6 +175,58 @@ class LanePlan:
         ]
 
 
+def memory_phase_cones(netlist, order: Sequence) -> dict[tuple, tuple]:
+    """Fan-in cone of each :data:`CONE_OUTPUTS` selection of ``netlist``.
+
+    Maps each selection whose buses all exist on ``netlist`` to
+    ``(instances, nets)``: the combinational instances of ``order``
+    (a topological order) that the selection's nets transitively read,
+    in that order, and the selection's own nets.  Settling just those
+    instances leaves the selected buses exactly as a full settle would.
+
+    Raises:
+        SimulationError: If a selection reads an input bus the cycle
+            provides only after that selection is read (``pc`` from
+            ``instr`` or ``rdata_*``, an address from ``rdata_*``): the
+            one-fetch, one-read cycle schedule would read it stale.
+    """
+    driver = {instance.output: instance for instance in order}
+    cones = {}
+    for outputs in CONE_OUTPUTS:
+        if not all(name in netlist.outputs for name in outputs):
+            continue
+        nets = tuple(
+            net for name in outputs for net in netlist.outputs[name].nets
+        )
+        later = {
+            net: name
+            for name in _PROVIDED_LATER[outputs]
+            if name in netlist.inputs
+            for net in netlist.inputs[name].nets
+        }
+        needed: set[int] = set()
+        stack = list(nets)
+        while stack:
+            net = stack.pop()
+            if net in needed:
+                continue
+            if net in later:
+                raise SimulationError(
+                    f"{'/'.join(outputs)} depends combinationally on input "
+                    f"{later[net]!r}, which the cycle provides after "
+                    "reading it"
+                )
+            needed.add(net)
+            instance = driver.get(net)
+            if instance is not None:
+                stack.extend(instance.inputs)
+        cones[outputs] = (
+            [instance for instance in order if instance.output in needed],
+            nets,
+        )
+    return cones
+
+
 def lane_engine(lanes: int) -> str:
     """The engine :func:`lane_simulator` runs ``lanes`` lanes on."""
     return "bigint" if lanes < NUMPY_MIN_LANES else "numpy"
@@ -174,12 +253,13 @@ def lane_simulator(netlist, plan: LanePlan):
 class LaneMemoryHarness:
     """Behavioural ROM/RAM model around a lane-packed core simulator.
 
-    Drives the memory side of the canonical lane-parallel cycle --
-    settle, provide fetch+read data, settle, provide again, settle,
-    capture the write port, tick, write back -- for every lane at
-    once.  This is the loop :meth:`repro.coregen.cosim.CoSimHarness.step`
-    runs for one machine, generalized to K independent lanes and
-    shared by the fault campaign and the differential verifier.
+    Drives the memory side of one core cycle for every lane at once,
+    in the schedule :meth:`repro.coregen.cosim.CoSimHarness.step` runs
+    for one machine: settle the ``pc`` cone and fetch; settle the
+    ``addr_a``/``addr_b`` cone and read data memory; settle the whole
+    netlist, capture the write port (only when some lane's ``we`` is
+    set), tick, and write back.  Shared by the fault campaign and the
+    differential verifier.
 
     Two execution paths, chosen automatically:
 
@@ -248,8 +328,6 @@ class LaneMemoryHarness:
         self._halt_word = halt_word
         self._halt_words = halt_words if halt_words is not None else {}
         self.array_mode = hasattr(sim, "read_output_array")
-        if memories is None:
-            memories = [list(base_memory) for _ in range(lanes)]
         if self.array_mode:
             import numpy as np
 
@@ -258,9 +336,16 @@ class LaneMemoryHarness:
                     "pc_bits is required on the array path"
                 )
             self._np = np
-            self._memory = np.asarray(memories, dtype=np.uint64)
+            if memories is None:
+                self._memory = np.tile(
+                    np.asarray(base_memory, dtype=np.uint64), (lanes, 1)
+                )
+            else:
+                self._memory = np.ascontiguousarray(memories, dtype=np.uint64)
             self._lane_index = np.arange(lanes)
             self._fetch = self._build_fetch_table(pc_bits)
+        elif memories is None:
+            self.memories = [list(base_memory) for _ in range(lanes)]
         else:
             self.memories = [list(image) for image in memories]
 
@@ -294,69 +379,76 @@ class LaneMemoryHarness:
                 table[lane, pc] = self._halt(pc)
         return table
 
-    def _provide_array(self) -> None:
+    def _step_array(self) -> None:
         sim = self.sim
+        memory = self._memory
+        lane_index = self._lane_index
+        sim.settle(FETCH_OUTPUTS)
         pcs = sim.read_output_array("pc")
         if self._fetch.ndim == 1:
             sim.set_input("instr", self._fetch[pcs])
         else:
-            sim.set_input("instr", self._fetch[self._lane_index, pcs])
+            sim.set_input("instr", self._fetch[lane_index, pcs])
+        sim.settle(READ_OUTPUTS)
         sim.set_input(
-            "rdata_a",
-            self._memory[self._lane_index, sim.read_output_array("addr_a")],
+            "rdata_a", memory[lane_index, sim.read_output_array("addr_a")]
         )
         sim.set_input(
-            "rdata_b",
-            self._memory[self._lane_index, sim.read_output_array("addr_b")],
+            "rdata_b", memory[lane_index, sim.read_output_array("addr_b")]
         )
+        sim.settle()
+        we = sim.read_output_array("we").astype(bool)
+        if not we.any():
+            sim.tick()
+            return
+        waddr = sim.read_output_array("waddr")
+        wdata = sim.read_output_array("wdata")
+        sim.tick()
+        memory[lane_index[we], waddr[we]] = wdata[we]
 
-    def _provide_lists(self) -> None:
+    def _step_lists(self) -> None:
         sim = self.sim
-        words = []
-        for lane, pc in enumerate(sim.read_output("pc")):
-            rom = self._rom if self._rom is not None else self._roms[lane]
-            if pc < len(rom):
-                words.append(rom[pc])
-            else:
-                words.append(self._halt(pc))
-        sim.set_input("instr", words)
-        addr_a = sim.read_output("addr_a")
-        addr_b = sim.read_output("addr_b")
         memories = self.memories
+        halt = self._halt
+        sim.settle(FETCH_OUTPUTS)
+        pcs = sim.read_output("pc")
+        if self._rom is not None:
+            rom = self._rom
+            size = len(rom)
+            words = [rom[pc] if pc < size else halt(pc) for pc in pcs]
+        else:
+            words = [
+                rom[pc] if pc < len(rom) else halt(pc)
+                for rom, pc in zip(self._roms, pcs)
+            ]
+        sim.set_input("instr", words)
+        sim.settle(READ_OUTPUTS)
         sim.set_input(
             "rdata_a",
-            [memories[lane][addr_a[lane]] for lane in range(self.lanes)],
+            [m[a] for m, a in zip(memories, sim.read_output("addr_a"))],
         )
         sim.set_input(
             "rdata_b",
-            [memories[lane][addr_b[lane]] for lane in range(self.lanes)],
+            [m[b] for m, b in zip(memories, sim.read_output("addr_b"))],
         )
+        sim.settle()
+        we = sim.read_output("we")
+        if not any(we):
+            sim.tick()
+            return
+        waddr = sim.read_output("waddr")
+        wdata = sim.read_output("wdata")
+        sim.tick()
+        for lane, enabled in enumerate(we):
+            if enabled:
+                memories[lane][waddr[lane]] = wdata[lane]
 
     def step(self) -> None:
         """Advance every lane one architectural cycle."""
-        sim = self.sim
-        provide = (
-            self._provide_array if self.array_mode else self._provide_lists
-        )
-        sim.settle()
-        provide()
-        sim.settle()
-        provide()
-        sim.settle()
         if self.array_mode:
-            we = sim.read_output_array("we").astype(bool)
-            waddr = sim.read_output_array("waddr")
-            wdata = sim.read_output_array("wdata")
-            sim.tick()
-            self._memory[self._lane_index[we], waddr[we]] = wdata[we]
+            self._step_array()
         else:
-            we = sim.read_output("we")
-            waddr = sim.read_output("waddr")
-            wdata = sim.read_output("wdata")
-            sim.tick()
-            for lane in range(self.lanes):
-                if we[lane]:
-                    self.memories[lane][waddr[lane]] = wdata[lane]
+            self._step_lists()
 
     def run(self, cycles: int) -> None:
         """Reset, run ``cycles`` architectural cycles, settle outputs."""
@@ -365,8 +457,25 @@ class LaneMemoryHarness:
             self.step()
         self.sim.settle()
 
-    def memory_rows(self) -> list[list[int]]:
-        """Final per-lane data memories as plain Python int lists."""
-        if self.array_mode:
-            return self._memory.tolist()
-        return [list(image) for image in self.memories]
+    def memory_rows(self) -> list[tuple[int, ...]]:
+        """Final per-lane data memories as tuples of Python ints.
+
+        On the array path each distinct final row converts once, keyed
+        by its bytes, and lanes that ended alike share its tuple.  In
+        the full-stride p1_8_2/mult8 fault campaign 866 of 1000 lanes
+        repeat another lane's row; converting per distinct row cuts
+        that campaign's numpy time by 7-11% on a 2-CPU Xeon VM, mostly
+        garbage-collector passes that 1000 fresh tuples would trigger
+        (bytes keys are not GC-tracked).
+        """
+        if not self.array_mode:
+            return [tuple(image) for image in self.memories]
+        memory = self._memory
+        keys = memory.view(f"V{memory.itemsize * memory.shape[1]}")
+        keys = keys.ravel().tolist()
+        rows = dict.fromkeys(keys)
+        for key in rows:
+            rows[key] = tuple(
+                self._np.frombuffer(key, dtype=memory.dtype).tolist()
+            )
+        return [rows[key] for key in keys]

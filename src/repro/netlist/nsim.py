@@ -35,6 +35,11 @@ hot loop:
 * inverting cells use ``np.invert`` on the full word -- garbage in
   lanes beyond ``plan.lanes`` is harmless because every read masks to
   the active lanes;
+* the memory phases of a core cycle get *cone kernels* (``CONES``):
+  the fan-in cones of ``pc`` and of ``addr_a``/``addr_b``
+  (:func:`repro.netlist.lanes.memory_phase_cones`), split at the same
+  level boundaries so forced settles clamp exactly where the full
+  settle does;
 * the clock edge (``tick(R, D)``) captures every flop D into a
   scratch matrix first, then writes all Q rows, matching the
   simultaneous-capture semantics of the scalar backends, with per-lane
@@ -63,8 +68,14 @@ import numpy as np
 
 from repro.errors import SimulationError, UnsupportedInLaneMode
 from repro.exec.cache import load_artifact, source_digest, store_artifact, structural_hash
-from repro.netlist.core import CONST1, Instance, Netlist, SEQUENTIAL_CELLS
-from repro.netlist.lanes import LanePlan
+from repro.netlist.core import (
+    CONST0,
+    CONST1,
+    Instance,
+    Netlist,
+    SEQUENTIAL_CELLS,
+)
+from repro.netlist.lanes import LanePlan, memory_phase_cones
 from repro.netlist.sta import _topological_order
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.runtime import STATE as _OBS
@@ -81,6 +92,20 @@ _ARTIFACT_KIND = "numpy-sim"
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
+
+# Bus pack/unpack transposes 8x8 bit blocks through byte views of the
+# value matrix, so byte order is pinned to little-endian.
+_LE64 = np.dtype("<u8")
+#: Byte ``x`` -> bit ``k`` of ``x`` moved to bit ``8k`` (one lane per byte).
+_SPREAD = np.array(
+    [sum(((x >> k) & 1) << (8 * k) for k in range(8)) for x in range(256)],
+    dtype=np.uint64,
+)
+#: Bit ``8k`` of a word -> bit ``k`` of its top byte (the inverse).
+_GATHER = np.uint64(0x0102040810204080)
+_BYTE_LSBS = np.uint64(0x0101010101010101)
+_BYTE_SHIFTS = np.arange(8, dtype=np.uint64)[None, :, None]
+_TOP_BYTE = np.uint64(56)
 
 #: In-place ufunc statement sequence per combinational cell.  ``{a}``
 #: and ``{b}`` are input row indices, ``{o}`` the output row; every
@@ -127,6 +152,9 @@ class NumpyCompiled:
     Attributes:
         levels: One settle function per logic level, each ``f(R)`` over
             the row-view list, in dependency order.
+        cones: Output selection -> ``((level, f), ...)``: settle
+            functions over just that selection's fan-in cone, one per
+            logic level the cone reaches, tagged with the level index.
         tick: Clock-edge function ``tick(R, D)`` (``D`` = flop scratch
             matrix, shape ``(flops, words)``).
         layout: Row layout of the value matrix (see
@@ -137,6 +165,7 @@ class NumpyCompiled:
     """
 
     levels: tuple[Callable, ...]
+    cones: dict[tuple[str, ...], tuple[tuple[int, Callable], ...]]
     tick: Callable
     layout: NumpyLayout
     flop_count: int
@@ -219,7 +248,8 @@ def _statements(instance: Instance, row_of: dict[int, int]) -> list[str]:
 
 
 def _generate_source(netlist: Netlist) -> str:
-    """Emit per-level settle functions plus the flop-capture tick."""
+    """Emit per-level settle functions, the memory-phase cone kernels
+    and the flop-capture tick."""
     layout, levels = _layout(netlist)
     row_of = layout.row_of
     flops = [i for i in netlist.instances if i.cell in SEQUENTIAL_CELLS]
@@ -253,6 +283,32 @@ def _generate_source(netlist: Netlist) -> str:
         "LEVELS = (" + ", ".join(f"level_{i}" for i in range(len(levels)))
         + ("," if levels else "") + ")"
     )
+
+    # Cone kernels: the memory-phase cones split at the same level
+    # boundaries, so a forced settle clamps each level's block after
+    # the cone's part of that level, exactly as the full settle does.
+    cones = memory_phase_cones(netlist, [i for level in levels for i in level])
+    entries = []
+    for k, (instances, _) in enumerate(cones.values()):
+        by_level: dict[int, list[Instance]] = {}
+        for inst in instances:
+            by_level.setdefault(layout.level_of[inst.output], []).append(inst)
+        steps = []
+        for index, members in sorted(by_level.items()):
+            lines.append(f"def cone_{k}_level_{index}(R):")
+            for inst in members:
+                for statement in _statements(inst, row_of):
+                    lines.append(f"    {statement}")
+            lines.append("    return")
+            steps.append(f"({index}, cone_{k}_level_{index}), ")
+        entries.append("(" + "".join(steps) + ")")
+    lines.append(
+        "CONES = {"
+        + "".join(
+            f"{outputs!r}: {entry}, " for outputs, entry in zip(cones, entries)
+        )
+        + "}"
+    )
     return "\n".join(lines)
 
 
@@ -272,6 +328,7 @@ def _bind(code, source: str, netlist: Netlist) -> NumpyCompiled:
     )
     return NumpyCompiled(
         levels=tuple(namespace["LEVELS"]),
+        cones=namespace["CONES"],
         tick=namespace["tick"],
         layout=layout,
         flop_count=flop_count,
@@ -293,7 +350,7 @@ def compile_numpy_netlist(netlist: Netlist) -> NumpyCompiled:
 
 def _artifact_key(netlist: Netlist) -> str:
     return structural_hash(netlist) + source_digest(
-        "repro.netlist.nsim", "repro.netlist.sta"
+        "repro.netlist.nsim", "repro.netlist.sta", "repro.netlist.lanes"
     )
 
 
@@ -409,12 +466,7 @@ class NumpySimulator:
         )
         self.cycles = 0
 
-        # Lane geometry for pack/unpack (word index + bit shift per
-        # lane, the 64 in-word bit positions, and per-bus scratch).
-        lane_index = np.arange(self.lanes)
-        self._lane_word = lane_index // 64
-        self._lane_bit = (lane_index % 64).astype(np.uint64)
-        self._bit_positions = np.arange(64, dtype=np.uint64)
+        # Per-bus pack/unpack geometry (rows, chunk shifts, scratch).
         self._pack_cache: dict[str, tuple] = {}
         self._gather_cache: dict[tuple, tuple] = {}
 
@@ -438,13 +490,18 @@ class NumpySimulator:
                 (layout.rows, self.words), _ALL_ONES, dtype=np.uint64
             )
             all_or = np.zeros((layout.rows, self.words), dtype=np.uint64)
-            for net, sites in forced.items():
-                row = layout.row_of[net]
-                for lane, value in sites:
-                    word, bit = lane // 64, np.uint64(lane % 64)
-                    all_and[row, word] &= ~(_ONE << bit)
-                    if value:
-                        all_or[row, word] |= _ONE << bit
+            rows, lanes, values = np.array(
+                [
+                    (layout.row_of[net], lane, value)
+                    for net, sites in forced.items()
+                    for lane, value in sites
+                ],
+                dtype=np.int64,
+            ).T
+            at = (rows, lanes // 64)
+            bits = _ONE << (lanes % 64).astype(np.uint64)
+            np.bitwise_and.at(all_and, at, ~bits)
+            np.bitwise_or.at(all_or, at, bits * values.astype(np.uint64))
             self._all_force = (all_and, all_or)
             forced_rows = {layout.row_of[net] for net in forced}
             lo, hi = 0, layout.source_rows
@@ -492,19 +549,22 @@ class NumpySimulator:
             )
         cached = self._pack_cache.get(name)
         if cached is None:
+            chunks = (len(bus) + 7) // 8
             cached = self._pack_cache[name] = (
                 np.array([row_of[net] for net in bus], dtype=np.intp),
-                np.arange(len(bus), dtype=np.uint64)[:, None],
-                np.zeros((len(bus), self.words * 64), dtype=np.uint64),
+                chunks,
+                np.zeros((chunks, self.words * 64), dtype=np.uint8),
             )
-        rows, shifts, padded = cached
-        padded[:, : self.lanes] = (
-            lanes.astype(np.uint64)[None, :] >> shifts
-        ) & _ONE
-        V[rows] = np.bitwise_or.reduce(
-            padded.reshape(len(bus), self.words, 64) << self._bit_positions,
-            axis=2,
-        )
+        rows, chunks, scratch = cached
+        # Byte ``c`` of every lane's value, lanes along a row; each
+        # 8-byte word of a row then holds 8 lanes, and gathering bit
+        # ``k`` of its bytes gives bus bit ``8c + k`` of those 8 lanes.
+        lane_bytes = lanes.astype(_LE64).view(np.uint8).reshape(self.lanes, 8)
+        scratch[:, : self.lanes] = lane_bytes[:, :chunks].T
+        words = scratch.view(_LE64)[:, None, :]
+        bits = (((words >> _BYTE_SHIFTS) & _BYTE_LSBS) * _GATHER) >> _TOP_BYTE
+        rows_bytes = bits.astype(np.uint8).reshape(chunks * 8, -1)
+        V[rows] = rows_bytes[: len(bus)].view(_LE64)
 
     def read_output(self, name: str) -> list[int]:
         """Read output bus ``name``: one integer per lane."""
@@ -538,22 +598,51 @@ class NumpySimulator:
         cached = self._gather_cache.get(nets)
         if cached is None:
             row_of = self._layout.row_of
+            chunks = (len(nets) + 7) // 8
+            # Pad to whole 8-net chunks with the CONST0 row (always 0).
+            rows = [row_of[net] for net in nets]
+            rows += [row_of[CONST0]] * (8 * chunks - len(nets))
             cached = self._gather_cache[nets] = (
-                np.array([row_of[net] for net in nets], dtype=np.intp),
-                np.arange(len(nets), dtype=np.uint64)[:, None],
+                np.array(rows, dtype=np.intp),
+                (np.arange(8 * chunks) % 8).astype(np.uint64)[:, None],
+                chunks,
             )
-        rows, shifts = cached
-        bits = (self._V[rows][:, self._lane_word] >> self._lane_bit) & _ONE
-        return np.bitwise_or.reduce(bits << shifts, axis=0)
+        rows, shifts, chunks = cached
+        # Spread each net-row byte so lane k's bit lands in byte k,
+        # shift it to the net's place in its 8-net chunk and OR the
+        # chunk: byte k of the result is lane k's value of those nets.
+        block = self._V[rows].astype(_LE64, copy=False).view(np.uint8)
+        merged = np.bitwise_or.reduce(
+            (_SPREAD[block] << shifts).reshape(chunks, 8, -1), axis=1
+        )
+        lane_bytes = merged.astype(_LE64, copy=False).view(np.uint8)
+        if chunks == 1:
+            return lane_bytes[0, : self.lanes].astype(np.uint64)
+        out = np.zeros((self.lanes, 8), dtype=np.uint8)
+        out[:, :chunks] = lane_bytes[:, : self.lanes].T
+        return out.view(_LE64).ravel().astype(np.uint64, copy=False)
 
     # -- phases ------------------------------------------------------------
 
-    def settle(self) -> None:
-        """Propagate all lanes through the combinational logic."""
+    def settle(self, outputs: tuple[str, ...] | None = None) -> None:
+        """Propagate all lanes through the combinational logic.
+
+        With ``outputs`` (one of :data:`~repro.netlist.lanes.CONE_OUTPUTS`)
+        only those buses' fan-in cone settles; they then read exactly
+        as after a full settle.  Any other selection settles everything.
+        A forced cone clamps whole level blocks, re-clamping rows it
+        did not recompute -- harmless, the clamp is idempotent.
+        """
         R = self._R
+        compiled = self._compiled
+        cone = compiled.cones.get(outputs)
         if not self._forced:
-            for kernel in self._compiled.levels:
-                kernel(R)
+            if cone is None:
+                for kernel in compiled.levels:
+                    kernel(R)
+            else:
+                for _, kernel in cone:
+                    kernel(R)
             return
         V = self._V
         if self._pre_force is not None:
@@ -561,7 +650,8 @@ class NumpySimulator:
             np.bitwise_and(block, self._pre_force[0], out=block)
             np.bitwise_or(block, self._pre_force[1], out=block)
         slices = self._layout.level_slices
-        for index, kernel in enumerate(self._compiled.levels):
+        steps = enumerate(compiled.levels) if cone is None else cone
+        for index, kernel in steps:
             kernel(R)
             force = self._level_forces[index]
             if force is not None:

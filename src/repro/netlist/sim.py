@@ -9,17 +9,25 @@ architectural state compared with the instruction-set simulator.
 Two backends share identical semantics (see ``docs/MODELS.md``):
 
 * ``"interpreted"`` (default) walks the levelized instance list,
-  calling each cell's truth function -- simple and easy to instrument;
+  calling each cell's truth function (resolved once, with its pins, at
+  construction) -- simple and easy to instrument;
 * ``"compiled"`` executes straight-line Python generated from the
   netlist by :mod:`repro.netlist.compile`, removing the per-gate
-  dispatch overhead (roughly an order of magnitude faster).
+  dispatch overhead (about 2.5x per full settle, about 4x per
+  co-simulated cycle, where it also settles only the memory-phase
+  cones).
 
 External memories (the paper's crosspoint ROM and SRAM) are modelled
 outside the netlist: the harness reads address/control output buses
 after a combinational settle, supplies read data on input buses, and
-re-settles.  Because read data never feeds back into address logic in
-the TP-ISA cores, two settles per cycle reach a fixed point (the
-simulator checks this).
+re-settles.  In the TP-ISA cores ``pc`` comes straight from flops and
+read data never feeds back into address logic, so a core cycle
+settles the ``pc`` cone, fetches, settles the ``addr_a``/``addr_b``
+cone, reads data memory, and settles the whole netlist once before
+the edge (:meth:`CycleSimulator.settle` takes the cone as
+``outputs=``; see ``docs/MODELS.md``, "Cycle schedule").  The generic
+:meth:`CycleSimulator.step_with_memory` instead settles, provides,
+re-settles and checks that a second provide reaches a fixed point.
 
 Per-instance output toggle counts are recorded for measured-activity
 power analysis; both backends account toggles identically.  Probes
@@ -79,6 +87,17 @@ class CycleSimulator:
         # index into ``netlist.instances``).
         position = {inst.output: n for n, inst in enumerate(netlist.instances)}
         self._comb_pos = [position[inst.output] for inst in self._order]
+        # Interpreter program: each gate's truth function and pins,
+        # resolved once (``b`` is None for one-input cells).
+        self._gates = [
+            (
+                CELL_FUNCTIONS[inst.cell],
+                inst.output,
+                inst.inputs[0],
+                inst.inputs[1] if len(inst.inputs) > 1 else None,
+            )
+            for inst in self._order
+        ]
         self._flop_pos = [position[flop.output] for flop in self._flops]
         # Flat value table indexed by net id; undriven nets read as 0,
         # matching the paper cores' reset-to-zero state.
@@ -126,15 +145,24 @@ class CycleSimulator:
 
     # -- phases ------------------------------------------------------------
 
-    def settle(self) -> None:
-        """Propagate current inputs/state through combinational logic."""
+    def settle(self, outputs: tuple[str, ...] | None = None) -> None:
+        """Propagate current inputs/state through combinational logic.
+
+        ``outputs`` names the buses the caller reads next (one of
+        :data:`~repro.netlist.lanes.CONE_OUTPUTS`): the compiled
+        backend then settles only their fan-in cone.  The interpreted
+        backend always settles everything -- it is the oracle.
+        """
         values = self._values
         if self._compiled is not None:
-            self._compiled.settle(values, 1)
+            cone = self._compiled.cones.get(outputs)
+            (cone[0] if cone else self._compiled.settle)(values, 1)
             return
-        for instance in self._order:
-            function = CELL_FUNCTIONS[instance.cell]
-            values[instance.output] = function(*(values[n] for n in instance.inputs))
+        for function, out, a, b in self._gates:
+            if b is None:
+                values[out] = function(values[a])
+            else:
+                values[out] = function(values[a], values[b])
 
     def tick(self) -> None:
         """Advance one clock edge: capture all flip-flop D inputs.

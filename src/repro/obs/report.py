@@ -55,6 +55,7 @@ regenerated paper tables.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -86,24 +87,34 @@ def environment_metadata() -> dict:
 
 
 def git_metadata(cwd=None) -> dict:
-    """Best-effort ``{commit, dirty}``; empty when git is unavailable."""
+    """Best-effort ``{commit, dirty}``; empty when git is unavailable.
+
+    Read once per process (and per ``cwd``): a run, or a long-running
+    server, reports the checkout it started from, and repeated reports
+    spawn no further git subprocesses.
+    """
+    return dict(_git_identity(None if cwd is None else str(cwd)))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_identity(cwd: str | None) -> tuple:
     try:
         commit = subprocess.run(
             ["git", "rev-parse", "HEAD"],
             cwd=cwd, capture_output=True, text=True, timeout=5,
         )
         if commit.returncode != 0:
-            return {}
+            return ()
         status = subprocess.run(
             ["git", "status", "--porcelain"],
             cwd=cwd, capture_output=True, text=True, timeout=5,
         )
-        return {
-            "commit": commit.stdout.strip(),
-            "dirty": bool(status.stdout.strip()),
-        }
+        return (
+            ("commit", commit.stdout.strip()),
+            ("dirty", bool(status.stdout.strip())),
+        )
     except (OSError, subprocess.SubprocessError):
-        return {}
+        return ()
 
 
 def build_run_report(

@@ -5,18 +5,24 @@ private copy of the behavioural ROM/RAM loop; these tests pin the
 unified harness against the scalar :class:`CoSimHarness` reference on
 both backends (bigint list path, numpy array path) and against each
 other, for shared- and per-lane-ROM packings.
+
+Both harnesses settle only the ``pc`` cone before the fetch and the
+address cone before the data read.  :class:`LegacySchedule` keeps the
+schedule that replaced -- three full settles with fetch and read
+provided twice -- as an oracle for that change, here only.
 """
 
 import pytest
 
 from repro.coregen.config import CoreConfig
-from repro.coregen.cosim import CoSimHarness
+from repro.coregen.cosim import CoSimHarness, architectural_nets
 from repro.coregen.fault_test import halt_word_encoder
 from repro.coregen.generator import generate_core
 from repro.coregen.isa_map import encode_program_for_core
 from repro.errors import SimulationError
 from repro.netlist.compile import BitParallelSimulator
-from repro.netlist.lanes import LaneMemoryHarness
+from repro.netlist.faults import enumerate_fault_sites
+from repro.netlist.lanes import LaneMemoryHarness, LanePlan
 from repro.netlist.nsim import NumpySimulator
 from repro.programs import build_benchmark
 
@@ -63,7 +69,7 @@ class TestLaneMemoryHarness:
         rows, pcs = _lane_state(harness)
         for lane, program in enumerate(programs):
             memory, pc = _scalar_reference(program, config)
-            assert rows[lane] == memory
+            assert rows[lane] == tuple(memory)
             assert pcs[lane] == pc
 
     def test_array_path_matches_list_path(self, setup):
@@ -133,3 +139,152 @@ class TestLaneMemoryHarness:
                 NumpySimulator(netlist, 2), lanes=2, roms=roms,
                 memories=memories, halt_word=halt,
             )
+
+
+class LegacySchedule:
+    """The three-full-settle lane cycle: settle, provide fetch and read
+    data, settle, provide again, settle, write back, tick."""
+
+    def __init__(self, sim, roms, memories, halt_word):
+        self.sim = sim
+        self.roms = roms
+        self.memories = [list(image) for image in memories]
+        self.halt_word = halt_word
+
+    def _provide(self):
+        sim = self.sim
+        pcs = sim.read_output("pc")
+        sim.set_input("instr", [
+            rom[pc] if pc < len(rom) else self.halt_word(pc)
+            for rom, pc in zip(self.roms, pcs)
+        ])
+        for port, bus in (("rdata_a", "addr_a"), ("rdata_b", "addr_b")):
+            addresses = sim.read_output(bus)
+            sim.set_input(port, [
+                memory[address]
+                for memory, address in zip(self.memories, addresses)
+            ])
+
+    def step(self):
+        sim = self.sim
+        sim.settle()
+        self._provide()
+        sim.settle()
+        self._provide()
+        sim.settle()
+        we = sim.read_output("we")
+        waddr = sim.read_output("waddr")
+        wdata = sim.read_output("wdata")
+        sim.tick()
+        for lane, enabled in enumerate(we):
+            if enabled:
+                self.memories[lane][waddr[lane]] = wdata[lane]
+
+    def memory_rows(self):
+        return [tuple(image) for image in self.memories]
+
+
+def legacy_cosim_step(harness):
+    """The three-full-settle :meth:`CoSimHarness.step`."""
+    sim = harness.sim
+
+    def provide():
+        pc = sim.read_output("pc")
+        rom = harness.rom
+        sim.set_input("instr", rom[pc] if pc < len(rom) else harness._halt_word(pc))
+        sim.set_input("rdata_a", harness.memory[sim.read_output("addr_a")])
+        sim.set_input("rdata_b", harness.memory[sim.read_output("addr_b")])
+
+    sim.settle()
+    provide()
+    sim.settle()
+    provide()
+    sim.settle()
+    we = sim.read_output("we")
+    waddr = sim.read_output("waddr")
+    wdata = sim.read_output("wdata")
+    sim.tick()
+    if we:
+        harness.memory[waddr] = wdata
+    harness.cycle += 1
+
+
+SCHEDULE_CONFIGS = [CoreConfig(datawidth=8), CoreConfig(datawidth=8, pipeline_stages=3)]
+
+
+def _schedule_setup(config, faulted):
+    netlist = generate_core(config)
+    programs = [build_benchmark("mult", 8, 8), build_benchmark("crc8", 8, 8)] * 3
+    roms = [encode_program_for_core(p, config) for p in programs]
+    mask = (1 << config.datawidth) - 1
+    memories = []
+    for program in programs:
+        memory = [0] * config.data_memory_words()
+        for address, value in program.data.items():
+            memory[address] = value & mask
+        memories.append(memory)
+    faults = None
+    if faulted:
+        sites = enumerate_fault_sites(netlist, stride=23)
+        faults = (None, sites[3], sites[10], None, sites[17], sites[24])
+    return netlist, programs, roms, memories, LanePlan(len(programs), faults=faults)
+
+
+def _lane_architecture(sim, netlist, config):
+    flag_nets, bar_nets = architectural_nets(netlist)
+    sim.settle()
+    return (
+        sim.read_output("pc"),
+        [sim.read_nets(flag_nets.get(f.name, ())) for f in config.flags],
+        [sim.read_nets(bar_nets.get(i, ())) for i in range(1, config.num_bars)],
+    )
+
+
+class TestCycleScheduleAgainstLegacy:
+    """Cone-scheduled cycles equal the three-full-settle oracle: the
+    per-cycle memory trace and the final architectural signature."""
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+    @pytest.mark.parametrize("engine", [BitParallelSimulator, NumpySimulator],
+                             ids=["list-path", "array-path"])
+    @pytest.mark.parametrize("config", SCHEDULE_CONFIGS, ids=lambda c: c.name)
+    def test_lane_harness(self, config, engine, faulted):
+        netlist, programs, roms, memories, plan = _schedule_setup(config, faulted)
+        halt = halt_word_encoder(config)
+        harness = LaneMemoryHarness(
+            engine(netlist, plan=plan), lanes=plan.lanes, roms=roms,
+            memories=memories, halt_word=halt,
+            pc_bits=len(netlist.outputs["pc"].nets),
+        )
+        assert harness.array_mode == (engine is NumpySimulator)
+        legacy = LegacySchedule(engine(netlist, plan=plan), roms, memories, halt)
+        harness.sim.reset()
+        legacy.sim.reset()
+        for cycle in range(CYCLES):
+            harness.step()
+            legacy.step()
+            assert harness.memory_rows() == legacy.memory_rows(), cycle
+        assert _lane_architecture(harness.sim, netlist, config) == (
+            _lane_architecture(legacy.sim, netlist, config)
+        )
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+    @pytest.mark.parametrize("config", SCHEDULE_CONFIGS, ids=lambda c: c.name)
+    def test_cosim_harness(self, config, faulted):
+        netlist, programs, _, _, plan = _schedule_setup(config, faulted)
+        for program, fault in zip(programs[:3], plan.faults or (None,) * 3):
+            harness = CoSimHarness(program, config, fault=fault)
+            legacy = CoSimHarness(program, config, fault=fault)
+            for cycle in range(CYCLES):
+                harness.step()
+                legacy_cosim_step(legacy)
+                assert harness.memory == legacy.memory, (program.name, cycle)
+            assert harness.pc == legacy.pc
+            assert [harness.flag(f) for f in config.flags] == [
+                legacy.flag(f) for f in config.flags
+            ]
+            assert [harness.bar(i) for i in range(config.num_bars)] == [
+                legacy.bar(i) for i in range(config.num_bars)
+            ]
+            # The final full settle is unchanged, so activity is too.
+            assert harness.sim.toggle_counts() == legacy.sim.toggle_counts()

@@ -177,3 +177,35 @@ class TestCli:
         ]) == 0
         events = load_jsonl(trace)
         assert any(e["name"] == "table6" for e in events)
+
+
+class TestGitIdentity:
+    def test_two_reports_run_git_at_most_once(self, obs_enabled, monkeypatch):
+        from repro.obs import report as report_mod
+
+        calls = []
+        real_run = report_mod.subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            if argv and argv[0] == "git":
+                calls.append(tuple(argv))
+            return real_run(argv, *args, **kwargs)
+
+        report_mod._git_identity.cache_clear()
+        monkeypatch.setattr(report_mod.subprocess, "run", counting_run)
+        try:
+            first = build_run_report(["one"], 1.0)
+            second = build_run_report(["two"], 1.0)
+        finally:
+            report_mod._git_identity.cache_clear()
+        # One identity read: rev-parse, plus status when in a checkout.
+        assert calls.count(("git", "rev-parse", "HEAD")) <= 1
+        assert calls.count(("git", "status", "--porcelain")) <= 1
+        assert first["git"] == second["git"]
+        assert first["fingerprint"]["git_sha"] == first["git"].get("commit", "")
+
+    def test_returned_identity_is_a_copy(self):
+        from repro.obs.report import git_metadata
+
+        git_metadata()["commit"] = "mutated"
+        assert git_metadata().get("commit") != "mutated"

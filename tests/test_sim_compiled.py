@@ -25,6 +25,7 @@ from repro.netlist import lanes as lanes_mod
 from repro.netlist.faults import FaultySimulator, StuckAtFault, enumerate_fault_sites
 from repro.netlist.nsim import NumpySimulator
 from repro.netlist.sim import CycleSimulator
+from repro.netlist.sta import _topological_order
 
 
 def random_stimulus(netlist, rng, cycle):
@@ -234,6 +235,136 @@ def test_numpy_fault_lanes_match_scalar_faults():
         vector.tick()
         for sim in scalars:
             sim.tick()
+
+
+def _cone_engines(netlist):
+    """Every compiled engine, healthy and forced, plus the interpreted
+    oracles (which accept a cone and settle everything)."""
+    faults = enumerate_fault_sites(netlist, stride=29)[:12]
+    lanes = len(faults)
+    return {
+        "compiled": CycleSimulator(netlist, backend="compiled"),
+        "compiled-forced": FaultySimulator(netlist, faults[1], backend="compiled"),
+        "interpreted": CycleSimulator(netlist, backend="interpreted"),
+        "interpreted-forced": FaultySimulator(netlist, faults[1]),
+        "bigint": BitParallelSimulator(netlist, lanes),
+        "bigint-forced": BitParallelSimulator(netlist, lanes, faults=faults),
+        "numpy": NumpySimulator(netlist, lanes),
+        "numpy-forced": NumpySimulator(netlist, lanes, faults=faults),
+    }
+
+
+@pytest.mark.parametrize("config", standard_sweep(), ids=lambda c: c.name)
+def test_cone_settle_matches_full_settle_on_sweep(config):
+    """``settle(outputs)`` leaves the selected buses exactly as a full
+    settle does, on every engine, healthy and forced, on all 24 cores.
+
+    Each cycle drives fresh random inputs and ticks, so the cone reads
+    start from the previous cycle's values; the full settle after both
+    cones recomputes every net from the same sources as the reference.
+    """
+    netlist = generate_core(config)
+    engines = _cone_engines(netlist)
+    rng = random.Random(config.name)
+    for cycle in range(8):
+        stimulus = random_stimulus(netlist, rng, cycle)
+        for name, sim in engines.items():
+            for bus, value in stimulus.items():
+                sim.set_input(bus, value)
+            coned = []
+            for outputs in lanes_mod.CONE_OUTPUTS:
+                sim.settle(outputs)
+                coned.append([sim.read_output(bus) for bus in outputs])
+            sim.settle()
+            full = [
+                [sim.read_output(bus) for bus in outputs]
+                for outputs in lanes_mod.CONE_OUTPUTS
+            ]
+            assert coned == full, (name, cycle)
+            sim.tick()
+
+
+def test_cone_kernels_cover_only_their_fan_in():
+    """The cores' ``pc`` comes straight from flops and the address cone
+    is a small part of the netlist; netlists without the memory-phase
+    buses get no cones and settle everything."""
+    netlist = generate_core(CoreConfig(datawidth=8))
+    cones = lanes_mod.memory_phase_cones(netlist, _topological_order(netlist))
+    assert set(cones) == set(lanes_mod.CONE_OUTPUTS)
+    assert cones[lanes_mod.FETCH_OUTPUTS][0] == []
+    comb = sum(1 for i in netlist.instances if not i.cell.startswith("DFF"))
+    assert 0 < len(cones[lanes_mod.READ_OUTPUTS][0]) < comb // 2
+    assert set(compiled_netlist(netlist).cones) == set(lanes_mod.CONE_OUTPUTS)
+
+    plain = Netlist("no_memory_ports")
+    a = plain.input_bus("a", 2)
+    plain.output_bus("y", [plain.xor_(a.nets[0], a.nets[1])])
+    assert compiled_netlist(plain).cones == {}
+    sim = CycleSimulator(plain, backend="compiled")
+    sim.set_input("a", 1)
+    sim.settle(lanes_mod.FETCH_OUTPUTS)  # no such cone: full settle
+    assert sim.read_output("y") == 1
+
+
+def _memory_port_netlist(outputs, source):
+    """Netlist with the core's memory ports where ``outputs`` read the
+    input bus ``source`` and the other buses read a neutral input."""
+    netlist = Netlist(f"{source}_to_{outputs[0]}")
+    inputs = {
+        name: netlist.input_bus(name, 2)
+        for name in ("instr", "rdata_a", "rdata_b", "other")
+    }
+    for name in ("pc", "addr_a", "addr_b"):
+        bus = inputs[source if name in outputs else "other"]
+        netlist.output_bus(name, [netlist.xor_(bus.nets[0], bus.nets[1])])
+    return netlist
+
+
+@pytest.mark.parametrize(
+    "outputs, source",
+    [
+        (lanes_mod.FETCH_OUTPUTS, "instr"),
+        (lanes_mod.FETCH_OUTPUTS, "rdata_a"),
+        (lanes_mod.READ_OUTPUTS, "rdata_b"),
+    ],
+)
+def test_cone_reading_a_later_input_is_refused(outputs, source):
+    """A phase's bus that reads an input the cycle provides only after
+    that phase would be read stale, so no engine generates for it."""
+    netlist = _memory_port_netlist(outputs, source)
+    with pytest.raises(SimulationError, match=source):
+        lanes_mod.memory_phase_cones(netlist, _topological_order(netlist))
+    with pytest.raises(SimulationError, match=source):
+        compiled_netlist(netlist)
+    with pytest.raises(SimulationError, match=source):
+        NumpySimulator(netlist, 2)
+
+
+def test_address_cone_may_read_the_fetched_instruction():
+    """``instr`` is provided before the read phase: the cones accept it."""
+    netlist = _memory_port_netlist(lanes_mod.READ_OUTPUTS, "instr")
+    cones = compiled_netlist(netlist).cones
+    assert set(cones) == set(lanes_mod.CONE_OUTPUTS)
+
+
+def test_artifact_keys_cover_the_cone_definition(monkeypatch):
+    """The cone kernels live in the compiled and numpy artifacts, so a
+    change to the cone selection (``repro.netlist.lanes``) must change
+    both artifact keys."""
+    from repro.netlist import compile as compile_mod
+    from repro.netlist import nsim as nsim_mod
+
+    netlist = generate_core(CoreConfig(datawidth=4))
+    revision = {"repro.netlist.lanes": 0}
+
+    def digest(*names):
+        return "|".join(f"{name}@{revision.get(name, 0)}" for name in names)
+
+    for module in (compile_mod, nsim_mod):
+        monkeypatch.setattr(module, "source_digest", digest)
+        before = module._artifact_key(netlist)
+        revision["repro.netlist.lanes"] += 1
+        assert module._artifact_key(netlist) != before
 
 
 class TestLaneModeGuards:
