@@ -41,12 +41,17 @@ def _place_one(
     seed: int,
     sweeps: int,
     config_name: str,
+    render: bool = True,
 ) -> dict:
     """Place one named config; returns a JSON-ready result dict.
 
     Module-level so :func:`repro.exec.parallel_map` can pickle it;
     overflow comes back as a ``{"error": ...}`` dict rather than an
     exception so one overflowing config does not abort its siblings.
+    With ``render`` the result also carries the fit report text
+    (``fit_text``) and the self-contained layout page (``layout_html``,
+    megabytes of SVG) the CLI prints and writes; callers that keep only
+    the measurements pass ``render=False`` and skip building them.
     """
     from repro.coregen.config import config_from_name
     from repro.coregen.generator import generate_core
@@ -78,7 +83,7 @@ def _place_one(
         }
     placement = place(netlist, fabric, seed=seed, sweeps=sweeps)
     library = technology_library(fabric.technology)
-    return {
+    result = {
         "design": netlist.name,
         "fabric": fabric.name,
         "technology": fabric.technology,
@@ -90,10 +95,12 @@ def _place_one(
         "anneal_moves": placement.anneal_moves,
         "anneal_accepted": placement.anneal_accepted,
         "ppa": wire_aware_ppa(netlist, placement, library),
-        "fit_text": fit.render(),
-        "layout_html": render_layout(netlist, placement),
-        "wall_s": time.perf_counter() - started,
     }
+    if render:
+        result["fit_text"] = fit.render()
+        result["layout_html"] = render_layout(netlist, placement)
+    result["wall_s"] = time.perf_counter() - started
+    return result
 
 
 def place_main(argv: list[str]) -> int:

@@ -57,8 +57,22 @@ def architectural_nets(
     Returns ``(flag_nets, bar_nets)``: flag nets keyed by flag name
     (e.g. ``"Z"``), BAR buses keyed by BAR index with nets LSB-first.
     Built in one pass over the net table so per-query name scans --
-    which run once per verification -- are avoided.
+    which run once per verification -- are avoided, and memoized on
+    the netlist like its topological order (keyed by the net count).
+    Each call returns fresh dicts of tuples, so no caller can corrupt
+    the memo.
     """
+    count = netlist.net_count
+    memo = getattr(netlist, "_architectural_nets", None)
+    if memo is None or memo[0] != count:
+        memo = netlist._architectural_nets = (
+            count, *_index_architectural_nets(netlist)
+        )
+    return dict(memo[1]), dict(memo[2])
+
+
+def _index_architectural_nets(netlist) -> tuple[dict, dict]:
+    """The one pass over the net table behind :func:`architectural_nets`."""
     flag_nets: dict[str, list[int]] = {}
     bar_bits: dict[int, list[tuple[int, int]]] = {}
     for net in range(netlist.net_count):

@@ -60,9 +60,11 @@ e.g. one :class:`~repro.netlist.faults.FaultySimulator` per fault site
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import marshal
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -367,6 +369,68 @@ def compiled_netlist(netlist: Netlist) -> CompiledNetlist:
     return cached
 
 
+#: Plans of up to this many lanes keep each net's lane word within one
+#: byte, so their bus ports transpose by word arithmetic
+#: (:func:`_word_ports`); wider plans transpose through binary strings.
+_WORD_LANES = 8
+
+#: Bytes per lane of a word-port transpose, indexed by bus width
+#: (0..64 bits).
+_WORD_BYTES = (1,) * 9 + (2,) * 8 + (4,) * 16 + (8,) * 32
+
+#: Masks of the three bit-exchange steps of an 8x8 bit-matrix
+#: transpose (Hacker's Delight ``transpose8``), repeated once per
+#: 64-bit block, keyed by block count.
+_TRANSPOSE_MASKS = {
+    s: tuple(
+        sum(mask << (64 * block) for block in range(s))
+        for mask in (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0)
+    )
+    for s in (1, 2, 4, 8)
+}
+
+
+def _transpose8(x: int, s: int) -> int:
+    """``x`` with each of its ``s`` 8x8 bit blocks transposed.
+
+    Block ``j`` is bits ``64j .. 64j + 63``, read as eight rows of one
+    byte each; bit ``b`` of row ``r`` moves to bit ``r`` of row ``b``.
+    """
+    m1, m2, m3 = _TRANSPOSE_MASKS[s]
+    t = (x ^ (x >> 7)) & m1
+    x ^= t ^ (t << 7)
+    t = (x ^ (x >> 14)) & m2
+    x ^= t ^ (t << 14)
+    t = (x ^ (x >> 28)) & m3
+    return x ^ t ^ (t << 28)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_ports(lanes: int) -> dict[int, tuple]:
+    """Word-port tables of a ``lanes``-lane plan (``lanes`` <= 8).
+
+    Maps ``s`` bytes per lane to ``(pack, unpack, spread)``: ``pack``
+    writes the lane values little-endian, ``s`` bytes each, padded with
+    zero bytes to eight lanes; ``unpack`` reads ``lanes`` such values
+    back; ``spread[w]`` moves bit ``l`` of a lane word ``w`` to bit
+    ``8 * s * l``, the low bit of lane ``l``'s value.  Explicit
+    little-endian formats keep both independent of the host's byte
+    order.  The tables are shared by every simulator of that lane
+    count and never written after this call.
+    """
+    ports = {}
+    for s, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")):
+        spread = [0]
+        for word in range(1, 1 << lanes):
+            spread.append((spread[word >> 1] << (8 * s)) | (word & 1))
+        ports[s] = (
+            struct.Struct(f"<{lanes}{code}{(8 - lanes) * s}x").pack,
+            struct.Struct(f"<{lanes}{code}").unpack,
+            tuple(spread),
+        )
+    return ports
+
+
 class BitParallelSimulator:
     """Bit-parallel gate-level simulation: N stimulus sets per pass.
 
@@ -416,6 +480,7 @@ class BitParallelSimulator:
         self._compiled = compiled_netlist(netlist)
         self._values = [0] * netlist.net_count
         self._values[CONST1] = self.mask
+        self._words = _word_ports(plan.lanes) if plan.lanes <= _WORD_LANES else None
         self.cycles = 0
 
         self._fault_nets: list[int] = []
@@ -440,13 +505,14 @@ class BitParallelSimulator:
         bus = self.netlist.inputs.get(name)
         if bus is None:
             raise SimulationError(f"no input bus named {name!r}")
-        limit = 1 << len(bus)
+        width = len(bus)
+        limit = 1 << width
         V = self._values
         if isinstance(values, int):
             if values < 0 or values >= limit:
                 raise SimulationError(
                     f"value {values} does not fit input {name!r} "
-                    f"({len(bus)} bits)"
+                    f"({width} bits)"
                 )
             for i, net in enumerate(bus):
                 V[net] = self.mask if (values >> i) & 1 else 0
@@ -458,13 +524,25 @@ class BitParallelSimulator:
         if min(values) < 0 or max(values) >= limit:
             bad = next(v for v in values if v < 0 or v >= limit)
             raise SimulationError(
-                f"value {bad} does not fit input {name!r} ({len(bus)} bits)"
+                f"value {bad} does not fit input {name!r} ({width} bits)"
             )
+        if self._words is not None and width <= 64:
+            # Pack the lane values into bytes, regroup them so 64-bit
+            # block j holds byte j of every lane (lane l in byte l of
+            # the block), and transpose each block's bits: byte i of the
+            # result is then the lane word of bus bit i.
+            s = _WORD_BYTES[width]
+            packed = self._words[s][0](*values)
+            if s > 1:
+                packed = b"".join([packed[j::s] for j in range(s)])
+            words = _transpose8(int.from_bytes(packed, "little"), s)
+            for net, word in zip(bus.nets, words.to_bytes(8 * s, "little")):
+                V[net] = word
+            return
         # Transpose through one string of MSB-first lane values, highest
         # lane first: every ``width``-th character from offset ``k`` is
         # bus bit ``width - 1 - k`` of each lane, highest lane first --
         # the binary digits of that net's lane word.
-        width = len(bus)
         digits = f"0{width}b"
         flat = "".join([format(value, digits) for value in reversed(values)])
         for k, net in enumerate(reversed(bus.nets)):
@@ -482,6 +560,16 @@ class BitParallelSimulator:
         if not nets:
             return [0] * self.lanes
         V = self._values
+        if self._words is not None and len(nets) <= 64:
+            # Spread each net's lane word so lane l's bit lands in lane
+            # l's s-byte slot, shifted to the net's position, and decode
+            # the slots as little-endian lane values.
+            s = _WORD_BYTES[len(nets)]
+            _, unpack, spread = self._words[s]
+            packed = 0
+            for i, net in enumerate(nets):
+                packed |= spread[V[net]] << i
+            return list(unpack(packed.to_bytes(self.lanes * s, "little")))
         # The inverse transpose of set_input: lane words of the nets,
         # highest net first; every ``lanes``-th character from offset
         # ``k`` spells lane ``lanes - 1 - k``'s value, MSB first.

@@ -50,6 +50,16 @@ CELL_FUNCTIONS = {
 }
 
 
+#: Attributes that cache structure-derived data on a :class:`Netlist`
+#: and stay out of its pickles (see :meth:`Netlist.__getstate__`).
+_DERIVED_MEMOS = (
+    "_compiled_sim",
+    "_numpy_sim",
+    "_topological_memo",
+    "_architectural_nets",
+)
+
+
 @dataclass(frozen=True)
 class Instance:
     """One placed standard cell.
@@ -108,17 +118,19 @@ class Netlist:
         self.reset_n: int | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle support: drop the compiled-code attachment.
+        """Pickle support: drop the compiled-code attachment and memos.
 
         :func:`repro.netlist.compile.compiled_netlist` caches exec'd
         function objects on the netlist; those are not picklable and
         are cheap to rebuild (they have their own on-disk artifact
-        cache), so the on-disk netlist artifact and process-pool
-        transfers carry structure only.
+        cache).  The topological-order and architectural-net memos are
+        derived from the structure and rebuilt on first use.  So the
+        on-disk netlist artifact and process-pool transfers carry
+        structure only.
         """
         state = dict(self.__dict__)
-        state.pop("_compiled_sim", None)
-        state.pop("_numpy_sim", None)
+        for memo in _DERIVED_MEMOS:
+            state.pop(memo, None)
         return state
 
     # -- net management ----------------------------------------------------

@@ -85,7 +85,23 @@ def _topological_order(netlist: Netlist) -> list[Instance]:
 
     Sequential outputs, ports, and constants are sources.  A cycle
     through combinational cells raises :class:`TimingError`.
+
+    Sorted once per netlist and memoized on it, like
+    :func:`repro.exec.cache.structural_hash` (the structure is
+    immutable once elaborated; the memo is also keyed by the instance
+    count, so a netlist still growing sorts again).  Every call returns
+    a fresh list, so no caller can corrupt the memo.
     """
+    count = len(netlist.instances)
+    memo = getattr(netlist, "_topological_memo", None)
+    if memo is None or memo[0] != count:
+        order = tuple(_sort_combinational(netlist))
+        memo = netlist._topological_memo = (count, order)
+    return list(memo[1])
+
+
+def _sort_combinational(netlist: Netlist) -> list[Instance]:
+    """Kahn's algorithm behind :func:`_topological_order` (uncached)."""
     combinational = [i for i in netlist.instances if i.cell not in SEQUENTIAL_CELLS]
     consumers: dict[int, list[Instance]] = defaultdict(list)
     pending: dict[int, int] = {}

@@ -189,18 +189,17 @@ def _run_profile(params: dict) -> dict:
 def _run_place(params: dict) -> dict:
     from repro.apps.place import _place_one
 
-    result = _place_one(
+    # The self-contained layout page is megabytes of SVG; the service
+    # keeps results in memory, so it keeps only the measurements and
+    # never renders the page or the fit text.
+    return _place_one(
         params["fabric"],
         params["technology"],
         params["seed"],
         params["sweeps"],
         params["config"],
+        render=False,
     )
-    # The self-contained layout page is megabytes of SVG; the service
-    # keeps results in memory, so only the measurements survive.
-    result.pop("layout_html", None)
-    result.pop("fit_text", None)
-    return result
 
 
 register_driver("sweep", {"technology": "EGFET"}, _run_sweep)

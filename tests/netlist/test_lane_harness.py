@@ -212,9 +212,15 @@ def legacy_cosim_step(harness):
 SCHEDULE_CONFIGS = [CoreConfig(datawidth=8), CoreConfig(datawidth=8, pipeline_stages=3)]
 
 
-def _schedule_setup(config, faulted):
+#: Fault-site index per lane of a faulted schedule plan (None: healthy).
+SCHEDULE_FAULTS = (None, 3, 10, None, 17, 24, 31, None, 38, 5, None, 12)
+
+
+def _schedule_setup(config, faulted, lanes=6):
     netlist = generate_core(config)
-    programs = [build_benchmark("mult", 8, 8), build_benchmark("crc8", 8, 8)] * 3
+    programs = [
+        build_benchmark("mult", 8, 8), build_benchmark("crc8", 8, 8)
+    ] * (lanes // 2)
     roms = [encode_program_for_core(p, config) for p in programs]
     mask = (1 << config.datawidth) - 1
     memories = []
@@ -226,7 +232,10 @@ def _schedule_setup(config, faulted):
     faults = None
     if faulted:
         sites = enumerate_fault_sites(netlist, stride=23)
-        faults = (None, sites[3], sites[10], None, sites[17], sites[24])
+        faults = tuple(
+            None if index is None else sites[index]
+            for index in SCHEDULE_FAULTS[:lanes]
+        )
     return netlist, programs, roms, memories, LanePlan(len(programs), faults=faults)
 
 
@@ -249,7 +258,20 @@ class TestCycleScheduleAgainstLegacy:
                              ids=["list-path", "array-path"])
     @pytest.mark.parametrize("config", SCHEDULE_CONFIGS, ids=lambda c: c.name)
     def test_lane_harness(self, config, engine, faulted):
-        netlist, programs, roms, memories, plan = _schedule_setup(config, faulted)
+        """Six lanes: the bigint ports take the word transpose."""
+        self._check_lane_harness(config, engine, faulted, lanes=6)
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["healthy", "faulted"])
+    @pytest.mark.parametrize("config", SCHEDULE_CONFIGS, ids=lambda c: c.name)
+    def test_list_path_beyond_word_lanes(self, config, faulted):
+        """Twelve lanes: the bigint ports take the string transpose."""
+        self._check_lane_harness(config, BitParallelSimulator, faulted, lanes=12)
+
+    @staticmethod
+    def _check_lane_harness(config, engine, faulted, lanes):
+        netlist, programs, roms, memories, plan = _schedule_setup(
+            config, faulted, lanes
+        )
         halt = halt_word_encoder(config)
         harness = LaneMemoryHarness(
             engine(netlist, plan=plan), lanes=plan.lanes, roms=roms,

@@ -87,3 +87,42 @@ class TestPlaceCli:
     def test_help(self, capsys):
         assert place_main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+
+class TestRendering:
+    """The layout page and fit text are built only where they are used."""
+
+    ARGS = ("small", "EGFET", 0, 2, "p1_4_2")
+
+    def test_cli_writes_the_rendered_placement(self, tmp_path, capsys):
+        from repro.coregen.config import config_from_name
+        from repro.coregen.generator import generate_core
+        from repro.place import named_fabric, place, render_layout
+
+        code = place_main(
+            ["p1_4_2", "--fabric", "small", "--sweeps", "2",
+             "--out", str(tmp_path)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        netlist = generate_core(config_from_name("p1_4_2"))
+        placement = place(netlist, named_fabric("small"), seed=0, sweeps=2)
+        assert (tmp_path / "layout.html").read_bytes() == (
+            render_layout(netlist, placement).encode("utf-8")
+        )
+
+    def test_serve_result_is_the_cli_result_unrendered(self):
+        from repro.apps.place import _place_one
+        from repro.serve.drivers import _run_place
+
+        fabric, technology, seed, sweeps, config = self.ARGS
+        served = _run_place({
+            "fabric": fabric, "technology": technology, "seed": seed,
+            "sweeps": sweeps, "config": config,
+        })
+        rendered = _place_one(*self.ARGS)
+        assert rendered.pop("layout_html").startswith("<!doctype html>")
+        assert rendered.pop("fit_text")
+        served.pop("wall_s")
+        rendered.pop("wall_s")
+        assert served == rendered
